@@ -46,6 +46,7 @@ from .kernels import (
 )
 from .linalg import (
     NotPsdError,
+    NumericalError,
     Tolerance,
     pinv,
     psd_factor,

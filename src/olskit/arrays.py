@@ -84,7 +84,7 @@ def model_from_design(design: ArrayDesign) -> FiniteModel:
     """Flatten a design to a finite model: n = n_points * q, K = Gram."""
     return FiniteModel(
         design.mean_array().ravel(),
-        gram(design.kernel, design.index_points, design.tol),
+        gram(design.kernel, design.index_points),
         label="design",
         tol=design.tol,
     )

@@ -8,7 +8,8 @@ Usage:
 Commands map one-to-one onto library operations: ``krige``,
 ``classify-svm``, ``classify-fuzzy``, ``condition`` (posterior sampling),
 and ``verify {gmt|disintegration|uii|entropy|continuity}``.  Exit code 0
-means the run passed, 1 means a verification failed, 2 means bad input.
+means the run passed, 1 means a verification or numerical gate failed, 2
+means bad input.
 
 Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
@@ -301,8 +302,9 @@ def load_csv(path: str, d: int | None = None, q: int | None = None) -> IndexedDa
                 ) from exc
         points.append(parsed[:n_i])
         values.append(parsed[n_i:])
-    pts = np.array(points, dtype=float)
-    vals = np.array(values, dtype=float) if n_v else None
+    # reshape keeps the header's widths when the file has no data rows
+    pts = np.array(points, dtype=float).reshape(len(points), n_i)
+    vals = np.array(values, dtype=float).reshape(len(values), n_v) if n_v else None
     return IndexedDataset(pts, vals)
 
 
@@ -320,6 +322,10 @@ def _format_csv(header: list[str], rows: np.ndarray) -> str:
 
 def _merge_design_points(query: np.ndarray, observed: np.ndarray):
     """Query points first, then observed points not already present."""
+    if query.shape[1] != observed.shape[1]:
+        raise ValueError(
+            f"index dimension mismatch: {query.shape[1]} vs {observed.shape[1]}"
+        )
     seen = {tuple(row) for row in query}
     extra = [row for row in observed if tuple(row) not in seen]
     points = np.vstack([query] + ([np.array(extra)] if extra else []))
@@ -592,8 +598,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # separation or convergence failures: the inputs parsed but the
-        # run could not meet its contract
+        # separation, convergence or numerical failures: the inputs parsed
+        # but the run could not meet its contract
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, psd_factor, symmetrize
+from .linalg import (
+    DEFAULT_TOL,
+    NotPsdError,
+    NumericalError,
+    Tolerance,
+    as_matrix,
+    as_vector,
+    psd_factor,
+    symmetrize,
+)
 from .model import (
     FiniteModel,
     ObservationMap,
@@ -91,7 +100,7 @@ class ConditionalModel:
         fiber = float(np.linalg.norm(g @ self.residual_cov @ g.T))
         scale = max(1.0, float(np.abs(self.residual_cov).max())) if self.residual_cov.size else 1.0
         if fiber > 1e-8 * scale:
-            raise ValueError(
+            raise NumericalError(
                 f"residual covariance leaks off the fiber (|G RK G^T| = {fiber:.3e})"
             )
 
@@ -146,7 +155,11 @@ def stochastic_ols_sample(cond: ConditionalModel, seed: int,
     nothing of range(R K)), which pins the samples to the fiber at rounding
     level instead of PSD-clipping level.
     """
-    f = cond.estimator.resid @ psd_factor(cond.residual_cov, cond.tol)
+    try:
+        factor = psd_factor(cond.residual_cov, cond.tol)
+    except NotPsdError as exc:
+        raise NumericalError(f"residual covariance is not PSD: {exc}") from exc
+    f = cond.estimator.resid @ factor
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n_samples), cond.mean.size))
     return cond.mean[None, :] + z @ f.T

@@ -17,6 +17,14 @@ class NotPsdError(ValueError):
     """Raised when a matrix fails a symmetry or positive-semidefinite check."""
 
 
+class NumericalError(RuntimeError):
+    """Valid input on which a computation cannot meet its numerical gates.
+
+    Unlike ``ValueError`` (bad input), this marks ill-conditioning that
+    rounding error pushed past a tolerance the result must keep.
+    """
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical cutoffs used throughout the package.

@@ -3,8 +3,9 @@
 Everything here is deliberately written against definitions, not against
 the library's computation paths: Penrose conditions checked directly,
 spectral norms by power iteration, constrained minimizers by KKT solves or
-scipy optimizers, covers by exhaustive enumeration, and moments by seeded
-Monte Carlo.  Tests freeze expected values computed by these oracles.
+scipy optimizers, covers by exhaustive enumeration or by one greedy sweep
+per radius, and moments by seeded Monte Carlo.  Tests freeze expected
+values computed by these oracles.
 """
 
 from __future__ import annotations
@@ -86,6 +87,34 @@ def exhaustive_min_cover(dist: np.ndarray, eps: float) -> int:
             if float(dist[list(centers)].min(axis=0).max()) <= eps:
                 return size
     return n
+
+
+def greedy_cover_count(dist: np.ndarray, points: np.ndarray, eps: float) -> int:
+    """Greedy farthest-point cover count, one fresh sweep for this eps.
+
+    The sweep starts at the lexicographically smallest point (the first
+    one among equal points) and adds the farthest point until every point
+    lies within eps of a centre.
+    """
+    start = min(range(points.shape[0]), key=lambda i: tuple(points[i]))
+    nearest = dist[start].copy()
+    count = 1
+    while True:
+        far = int(np.argmax(nearest))
+        if nearest[far] <= eps:
+            return count
+        nearest = np.minimum(nearest, dist[far])
+        count += 1
+
+
+def greedy_entropy(counts: np.ndarray, eps: np.ndarray) -> float:
+    """Trapezoid of log N(eps), truncated at the first count of 1."""
+    ones = np.flatnonzero(counts == 1)
+    stop = int(ones[0]) if ones.size else eps.size - 1
+    if stop == 0:
+        return 0.0
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    return float(trapezoid(np.log(counts[: stop + 1]), eps[: stop + 1]))
 
 
 def mc_mean_cov(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ from olskit.arrays import (
     transform_map,
 )
 from olskit.kernels import KernelSpec, kernel_eval, gram
+from olskit.linalg import NotPsdError
 from olskit.model import (
     SupportViolationError,
     estimator_delta_norm,
@@ -51,6 +52,34 @@ class TestModelFromDesign:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             ArrayDesign([[0.0], [0.0]], KernelSpec("se"))
+
+    def test_non_psd_custom_kernel_rejected(self):
+        # unit variances with correlation -0.9 between every pair of three
+        # points: the all-ones direction has eigenvalue 1 - 1.8 < 0
+        spec = KernelSpec(
+            "custom",
+            eval_hook=lambda i, j: np.array([[1.0 if np.array_equal(i, j) else -0.9]]),
+        )
+        design = ArrayDesign([[0.0], [1.0], [2.0]], spec)
+        with pytest.raises(NotPsdError, match="eigenvalue"):
+            model_from_design(design)
+        with pytest.raises(NotPsdError, match="eigenvalue"):
+            krige(design, [0], [1.0])
+
+    def test_krige_runs_one_prior_sized_eigensolve(self, monkeypatch):
+        n = 30
+        design = grid_design(n=n, ell=0.3, family="matern52")
+        sizes = []
+        for name in ("eigvalsh", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                sizes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        krige(design, list(range(0, n, 5)), np.arange(6.0))
+        assert sizes.count((n, n)) == 1
 
 
 class TestRestrictionMap:

@@ -222,6 +222,56 @@ class TestConditionCommand:
         assert (out_a / "samples.csv").read_bytes() != (out_b / "samples.csv").read_bytes()
 
 
+class TestIllConditionedInput:
+    """400 sorted uniform points on [0, 10], Matern-5/2, every 4th observed."""
+
+    @pytest.mark.parametrize("ell, cause", [
+        (2.0, "leaks off the fiber"),
+        (0.5, "residual covariance is not PSD"),
+    ])
+    def test_condition_is_numerical_failure(self, tmp_path, capsys, ell, cause):
+        x = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, 400))
+        observed = x[::4]
+        queries = np.delete(x, np.arange(0, 400, 4))
+        config = write_config(tmp_path / "c.json", {
+            "kernel": {"family": "matern52", "lengthscale": ell},
+            "samples": 10,
+        })
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n" + "".join(
+            f"{float(a)!r},{float(np.sin(a))!r}\n" for a in observed))
+        query = write_csv(tmp_path / "q.csv", "i_1\n" + "".join(
+            f"{float(a)!r}\n" for a in queries))
+        code = run_cli(["condition", "--config", config, "--data", data,
+                        "--query", query, "--out", tmp_path / "out"])
+        assert code == 1
+        assert cause in capsys.readouterr().err
+
+
+class TestIndexDimensions:
+    @pytest.mark.parametrize("command, values", [
+        ("krige", ["0.5", "-1.0"]),
+        ("condition", ["0.5", "-1.0"]),
+        ("classify-fuzzy", ["0", "1"]),
+    ])
+    def test_query_dimension_mismatch(self, tmp_path, capsys, command, values):
+        config = write_config(tmp_path / "c.json", {"samples": 10})
+        data = write_csv(tmp_path / "d.csv",
+                         f"i_1,i_2,v_1\n0,0,{values[0]}\n1,1,{values[1]}\n")
+        query = write_csv(tmp_path / "q.csv", "i_1\n0.5\n")
+        code = run_cli([command, "--config", config, "--data", data,
+                        "--query", query, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "index dimension mismatch: 1 vs 2" in capsys.readouterr().err
+
+    def test_query_file_without_rows_keeps_its_dimension(self, tmp_path):
+        config = write_config(tmp_path / "c.json")
+        data = write_csv(tmp_path / "d.csv", "i_1,i_2,v_1\n0,0,1\n1,1,2\n")
+        query = write_csv(tmp_path / "q.csv", "i_1,i_2\n")
+        assert load_csv(query).points.shape == (0, 2)
+        assert run_cli(["krige", "--config", config, "--data", data,
+                        "--query", query, "--out", tmp_path / "out"]) == 0
+
+
 class TestVerifyCommands:
     def test_uii(self, tmp_path):
         config = write_config(tmp_path / "c.json")

@@ -16,7 +16,7 @@ from olskit.kernels import (
 )
 from olskit.linalg import pinv
 
-from helpers import exhaustive_min_cover
+from helpers import exhaustive_min_cover, greedy_cover_count, greedy_entropy
 
 ALL_FAMILIES = [
     KernelSpec("se", lengthscale=0.8, variance=1.3),
@@ -269,6 +269,42 @@ class TestCovering:
     def test_invalid_eps(self):
         with pytest.raises(ValueError, match="eps"):
             covering_number(KernelSpec("se"), [[0.0]], 0.0)
+
+
+def _sweep_cases():
+    """Seeded (spec, covalue, points, eps grid) cases for the cover oracle."""
+    base = KernelSpec("matern52", lengthscale=0.7)
+    custom = KernelSpec("custom", eval_hook=lambda i, j: kernel_eval(base, i, j))
+    coreg = KernelSpec("matern32", lengthscale=0.9, output_dim=2,
+                       coregionalization=[[2.0, 0.5], [0.5, 1.0]])
+    specs = [(spec, None) for spec in ALL_FAMILIES]
+    specs += [(custom, None), (coreg, np.array([1.0, -0.5]))]
+    rng = np.random.default_rng(404)
+    for case in range(5 * len(specs)):
+        spec, covalue = specs[case % len(specs)]
+        n = 1 + int(rng.integers(0, 16 if spec.family == "custom" else 120))
+        d = int(rng.integers(1, 4))
+        # coarse rounding makes duplicate points and tied distances
+        pts = np.round(rng.uniform(-2.0, 2.0, (n, d)), int(rng.integers(0, 3)))
+        dist = metric_matrix(spec, pts, covalue)
+        nonzero = dist[dist > 0.0]
+        low = 0.5 * nonzero.min() if nonzero.size else 1e-3
+        high = 2.0 * dist.max() if nonzero.size else 1.0
+        eps = np.geomspace(low, high, int(rng.integers(1, 65)))
+        if nonzero.size:
+            # radii equal to a pairwise distance test the <= boundary
+            eps = np.union1d(eps, rng.choice(nonzero, min(8, nonzero.size)))
+        yield spec, covalue, pts, dist, eps
+
+
+class TestCoverOracle:
+    def test_counts_and_entropy_match_per_eps_sweeps(self):
+        for spec, covalue, pts, dist, eps in _sweep_cases():
+            counts = np.array([greedy_cover_count(dist, pts, e) for e in eps])
+            for e, count in zip(eps, counts):
+                assert covering_number(spec, pts, e, covalue) == count
+            got = entropy_integral(spec, pts, eps, covalue)
+            assert got == greedy_entropy(counts.astype(float), eps)
 
 
 class TestEntropyIntegral:
