@@ -38,6 +38,7 @@ from .kernels import (
     coarray_cov,
     covariance_metric,
     covering_number,
+    cross_kernel,
     default_epsilon_grid,
     entropy_integral,
     gram,

@@ -340,8 +340,8 @@ def _point_header(d: int, q: int) -> list[str]:
     ]
 
 
-def _run_krige(config: Config, data: IndexedDataset, query: IndexedDataset,
-               out_dir: str) -> tuple[dict, dict]:
+def _run_krige(config: Config, data: IndexedDataset,
+               query: IndexedDataset) -> tuple[dict, dict]:
     spec = config.kernel_spec()
     if data.values is None:
         raise CsvError("krige requires value columns in the data file")
@@ -377,7 +377,7 @@ def _split_labels(data: IndexedDataset):
 
 
 def _run_classify_svm(config: Config, data: IndexedDataset,
-                      query: IndexedDataset, out_dir: str) -> tuple[dict, dict]:
+                      query: IndexedDataset) -> tuple[dict, dict]:
     spec = config.kernel_spec()
     d0, d1 = _split_labels(data)
     problem = SvmProblem(spec, d0, d1, tol=config.tolerance())
@@ -422,7 +422,7 @@ def _run_classify_svm(config: Config, data: IndexedDataset,
 
 
 def _run_classify_fuzzy(config: Config, data: IndexedDataset,
-                        query: IndexedDataset, out_dir: str) -> tuple[dict, dict]:
+                        query: IndexedDataset) -> tuple[dict, dict]:
     spec = config.kernel_spec()
     d0, d1 = _split_labels(data)
     points, observed_idx = _merge_design_points(
@@ -448,7 +448,7 @@ def _run_classify_fuzzy(config: Config, data: IndexedDataset,
 
 
 def _run_condition(config: Config, data: IndexedDataset, query: IndexedDataset,
-                   out_dir: str, seed: int) -> tuple[dict, dict]:
+                   seed: int) -> tuple[dict, dict]:
     from .arrays import model_from_design, restriction_map
 
     spec = config.kernel_spec()
@@ -498,13 +498,13 @@ def run(command: str, config: Config, inputs: dict, out_dir: str,
     empty = IndexedDataset(np.zeros((0, d)))
 
     if command == "krige":
-        body, files = _run_krige(config, data, query or empty, out_dir)
+        body, files = _run_krige(config, data, query or empty)
     elif command == "classify-svm":
-        body, files = _run_classify_svm(config, data, query or empty, out_dir)
+        body, files = _run_classify_svm(config, data, query or empty)
     elif command == "classify-fuzzy":
-        body, files = _run_classify_fuzzy(config, data, query or empty, out_dir)
+        body, files = _run_classify_fuzzy(config, data, query or empty)
     elif command == "condition":
-        body, files = _run_condition(config, data, query or empty, out_dir, seed)
+        body, files = _run_condition(config, data, query or empty, seed)
     elif command.startswith("verify:"):
         target = command.split(":", 1)[1]
         if target not in VERIFY_TARGETS:

@@ -238,6 +238,28 @@ class DisintegrationReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
+    @classmethod
+    def paired_monte_carlo(cls, test_functions, direct: np.ndarray,
+                           conv: np.ndarray) -> "DisintegrationReport":
+        """Compare E[s] over paired draws of both sides at 4 standard errors."""
+        n = direct.shape[0]
+        rows = []
+        for name, s in test_functions:
+            lhs = np.asarray(s(direct), dtype=float)
+            rhs = np.asarray(s(conv), dtype=float)
+            d = lhs - rhs
+            mean_d = float(d.mean())
+            bound = 4.0 * float(d.std(ddof=1) / np.sqrt(n)) + 1e-12
+            rows.append(DisintegrationRow(
+                name=name,
+                lhs=float(lhs.mean()),
+                rhs=float(rhs.mean()),
+                difference=mean_d,
+                bound=bound,
+                passed=abs(mean_d) <= bound,
+            ))
+        return cls(rows=rows, n_samples=n, exact=False)
+
 
 def disintegration_check(measure, obs, test_functions=None, seed: int = 0,
                          n_samples: int = 100_000) -> DisintegrationReport:
@@ -272,21 +294,7 @@ def disintegration_check(measure, obs, test_functions=None, seed: int = 0,
     direct = model.mean[None, :] + rng.standard_normal((n, model.n)) @ f.T
     data = (model.mean[None, :] + rng.standard_normal((n, model.n)) @ f.T) @ g.T
     conditional = _affine_batch(est, data) + rng.standard_normal((n, model.n)) @ fres.T
-    rows = []
-    for name, s in test_functions:
-        d = np.asarray(s(direct), dtype=float) - np.asarray(s(conditional), dtype=float)
-        mean_d = float(d.mean())
-        se = float(d.std(ddof=1) / np.sqrt(n))
-        bound = 4.0 * se + 1e-12
-        rows.append(DisintegrationRow(
-            name=name,
-            lhs=float(np.asarray(s(direct), dtype=float).mean()),
-            rhs=float(np.asarray(s(conditional), dtype=float).mean()),
-            difference=mean_d,
-            bound=bound,
-            passed=abs(mean_d) <= bound,
-        ))
-    return DisintegrationReport(rows=rows, n_samples=n, exact=False)
+    return DisintegrationReport.paired_monte_carlo(test_functions, direct, conditional)
 
 
 def discrete_ols(measure: DiscreteMeasure, obs) -> OlsEstimator:
@@ -358,20 +366,7 @@ def _disintegration_check_discrete_mc(measure: DiscreteMeasure, obs,
     lifted = _affine_batch(est, measure.points[i] @ g.T)
     residual = measure.points[j] - _affine_batch(est, measure.points[j] @ g.T)
     conv = lifted + residual
-    rows = []
-    for name, s in test_functions:
-        d = np.asarray(s(direct), dtype=float) - np.asarray(s(conv), dtype=float)
-        mean_d = float(d.mean())
-        bound = 4.0 * float(d.std(ddof=1) / np.sqrt(n)) + 1e-12
-        rows.append(DisintegrationRow(
-            name=name,
-            lhs=float(np.asarray(s(direct), dtype=float).mean()),
-            rhs=float(np.asarray(s(conv), dtype=float).mean()),
-            difference=mean_d,
-            bound=bound,
-            passed=abs(mean_d) <= bound,
-        ))
-    return DisintegrationReport(rows=rows, n_samples=n, exact=False)
+    return DisintegrationReport.paired_monte_carlo(test_functions, direct, conv)
 
 
 def uii_counterexample():

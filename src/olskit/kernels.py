@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import NotPsdError, as_matrix, symmetrize
+from .linalg import as_matrix, check_psd, symmetrize
 
 _STATIONARY = ("se", "matern12", "matern32", "matern52", "wendland")
 _DOT_PRODUCT = ("linear", "polynomial")
@@ -114,14 +114,12 @@ class KernelSpec:
         if key == "custom" and self.eval_hook is None:
             raise ValueError("custom kernel requires an eval_hook")
         if self.coregionalization is not None:
-            b = symmetrize(as_matrix(self.coregionalization, "coregionalization"))
+            b = as_matrix(self.coregionalization, "coregionalization")
             if b.shape != (self.output_dim, self.output_dim):
                 raise ValueError(
                     "coregionalization must be output_dim x output_dim"
                 )
-            w = np.linalg.eigvalsh(b)
-            if w.size and w[0] < -1e-10 * max(1.0, abs(w[-1])):
-                raise NotPsdError("coregionalization matrix is not PSD")
+            b = check_psd(b, name="coregionalization").matrix
             object.__setattr__(self, "coregionalization", b)
 
     @property
@@ -132,6 +130,19 @@ class KernelSpec:
         if self.coregionalization is None:
             return np.eye(self.output_dim)
         return self.coregionalization
+
+
+def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances, summed from explicit coordinate differences.
+
+    |x|^2 + |y|^2 - 2 x.y cancels catastrophically away from the origin;
+    differencing first keeps every digit the points themselves carry.
+    """
+    d2 = np.zeros((x.shape[0], y.shape[0]))
+    for xc, yc in zip(x.T, y.T):
+        diff = np.subtract.outer(xc, yc)
+        d2 += np.square(diff, out=diff)
+    return d2
 
 
 def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
@@ -148,12 +159,7 @@ def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
         if spec.family == "linear":
             return s2 * dots
         return s2 * (1.0 + dots) ** spec.degree
-    d2 = np.maximum(
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(y * y, axis=1)[None, :]
-        - 2.0 * (x @ y.T),
-        0.0,
-    )
+    d2 = _squared_distances(x, y)
     r = np.sqrt(d2)
     if spec.family == "se":
         return s2 * np.exp(-0.5 * d2 / (ell * ell))
@@ -186,30 +192,40 @@ def kernel_eval(spec: KernelSpec, i, j) -> np.ndarray:
     return spec.mixing() * s
 
 
+def cross_kernel(spec: KernelSpec, x, y) -> np.ndarray:
+    """Covariance blocks c(x_a, y_b) as one (n q) x (m q) matrix.
+
+    Blocks are laid out point-major: rows [a*q, (a+1)*q) belong to x[a]
+    and columns [b*q, (b+1)*q) to y[b].  Closed-form families are the
+    scalar kernel times the mixing matrix; a custom hook is called once
+    per pair, here and nowhere else.
+    """
+    x = as_points(x, "x")
+    y = as_points(y, "y")
+    if spec.family != "custom":
+        s = scalar_kernel(spec, x, y)
+        if spec.q == 1 and spec.coregionalization is None:
+            return s
+        return np.kron(s, spec.mixing())
+    q = spec.q
+    out = np.empty((x.shape[0] * q, y.shape[0] * q))
+    for a in range(x.shape[0]):
+        for b in range(y.shape[0]):
+            out[a * q:(a + 1) * q, b * q:(b + 1) * q] = kernel_eval(spec, x[a], y[b])
+    return out
+
+
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Assemble the (n q) x (n q) Gram matrix over a point list.
 
-    Blocks are laid out point-major: rows [a*q, (a+1)*q) belong to
-    points[a].  The result is symmetrized but not checked for PSD-ness:
-    ``FiniteModel`` is the one gate for a prior covariance, and it rejects
-    a minimum eigenvalue below ``-abs_psd`` (relative to the largest entry).
+    The layout is ``cross_kernel``'s.  The result is symmetrized but not
+    checked for PSD-ness: ``FiniteModel`` is the one gate for a prior
+    covariance.
     """
     pts = as_points(points)
-    n = pts.shape[0]
-    if n == 0:
+    if pts.shape[0] == 0:
         raise ValueError("gram requires at least one point")
-    if spec.family == "custom":
-        q = spec.q
-        out = np.empty((n * q, n * q))
-        for a in range(n):
-            for b in range(a, n):
-                blk = kernel_eval(spec, pts[a], pts[b])
-                out[a * q:(a + 1) * q, b * q:(b + 1) * q] = blk
-                out[b * q:(b + 1) * q, a * q:(a + 1) * q] = blk.T
-    else:
-        s = scalar_kernel(spec, pts, pts)
-        out = np.kron(s, spec.mixing()) if spec.q > 1 else s
-    return symmetrize(out)
+    return symmetrize(cross_kernel(spec, pts, pts))
 
 
 @dataclass(frozen=True)
@@ -289,17 +305,9 @@ def coarray_cov(spec: KernelSpec, phi: CoArray, psi: CoArray) -> float:
         raise ValueError("co-value dimension does not match kernel output_dim")
     if phi.points.shape[1] != psi.points.shape[1]:
         raise ValueError("co-array index dimensions differ")
-    if spec.family == "custom":
-        total = 0.0
-        for w, p in zip(phi.weights, phi.points):
-            for w2, p2 in zip(psi.weights, psi.points):
-                total += float(w @ kernel_eval(spec, p, p2) @ w2)
-        return total
-    s = scalar_kernel(spec, phi.points, psi.points)
-    b = spec.mixing()
-    # sum_kl s_kl * (w_k^T B w2_l)
-    mix = phi.weights @ b @ psi.weights.T
-    return float(np.sum(s * mix))
+    # the point-major layout matches the row-major ravel of the co-values
+    c = cross_kernel(spec, phi.points, psi.points)
+    return float(phi.weights.ravel() @ c @ psi.weights.ravel())
 
 
 def covariance_metric(spec: KernelSpec, e, i, e2, j) -> float:
@@ -326,17 +334,9 @@ def metric_matrix(spec: KernelSpec, points, covalue=None) -> np.ndarray:
     if spec.q > 1 and covalue is None:
         raise ValueError("metric_matrix needs an explicit covalue when q > 1")
     e = np.atleast_1d(np.asarray(1.0 if covalue is None else covalue, float))
-    if spec.family == "custom":
-        n = pts.shape[0]
-        s = np.empty((n, n))
-        for a in range(n):
-            for b2 in range(a, n):
-                s[a, b2] = s[b2, a] = float(
-                    e @ kernel_eval(spec, pts[a], pts[b2]) @ e
-                )
-    else:
-        mix = float(e @ spec.mixing() @ e)
-        s = scalar_kernel(spec, pts, pts) * mix
+    n, q = pts.shape[0], spec.q
+    c = cross_kernel(spec, pts, pts).reshape(n, q, n, q)
+    s = np.einsum("aibj,ij->ab", c, np.outer(e, e))  # e^T c(i_a, i_b) e
     diag = np.diag(s)
     t = np.maximum(diag[:, None] + diag[None, :] - 2.0 * s, 0.0)
     return np.sqrt(t)

@@ -9,6 +9,7 @@ convention, so repeated calls produce bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,22 +137,44 @@ def _fix_eigvec_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+class PsdSpectrum(NamedTuple):
+    """A matrix that passed ``check_psd``, with its ascending spectrum."""
+
+    matrix: np.ndarray          # the symmetrized input
+    values: np.ndarray          # ascending eigenvalues
+    vectors: np.ndarray | None  # matching eigenvectors, when asked for
+    floor: float                # abs_psd * max(1, max|k|)
+
+
+def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
+              vectors: bool = False) -> PsdSpectrum:
+    """The one PSD gate: ``k`` is square, symmetric and positive semidefinite.
+
+    ``k`` must already be a finite 2-d array (see ``as_matrix``).  Both the
+    asymmetry and the most negative eigenvalue are held to the same floor,
+    ``abs_psd * max(1, max|k|)``.  The matrix is symmetrized once, and only
+    its eigenvalues are computed unless ``vectors`` asks for eigenvectors.
+    Raises NotPsdError, naming ``name``, on failure.
+    """
+    n, m = k.shape
+    if n != m:
+        raise NotPsdError(f"{name} must be square, got {n}x{m}")
+    floor = tol.abs_psd * (max(1.0, float(np.abs(k).max())) if k.size else 1.0)
+    if k.size and float(np.abs(k - k.T).max()) > floor:
+        raise NotPsdError(f"{name} is asymmetric beyond tolerance")
+    sym = symmetrize(k)
+    w, v = np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
+    if w.size and float(w[0]) < -floor:
+        raise NotPsdError(f"{name} is not PSD: eigenvalue {w[0]:.3e} below -abs_psd")
+    return PsdSpectrum(sym, w, v, floor)
+
+
 def psd_eigh(k, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a PSD matrix, descending, deterministic signs.
 
-    Raises NotPsdError if ``k`` is asymmetric beyond ``abs_psd`` or has an
-    eigenvalue below ``-abs_psd``.
+    Raises NotPsdError when ``check_psd`` rejects ``k``.
     """
-    k = as_matrix(k, "psd matrix")
-    n, m = k.shape
-    if n != m:
-        raise NotPsdError(f"expected a square matrix, got {n}x{m}")
-    scale = max(1.0, float(np.abs(k).max())) if k.size else 1.0
-    if n and float(np.abs(k - k.T).max()) > tol.abs_psd * scale:
-        raise NotPsdError("matrix is asymmetric beyond tolerance")
-    w, v = np.linalg.eigh(symmetrize(k))
-    if n and float(w[0]) < -tol.abs_psd * scale:
-        raise NotPsdError(f"matrix has eigenvalue {w[0]:.3e} below -abs_psd")
+    _, w, v, _ = check_psd(as_matrix(k, "psd matrix"), tol, vectors=True)
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
     v = _fix_eigvec_signs(v[:, order])

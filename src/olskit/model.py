@@ -21,10 +21,10 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    NotPsdError,
     Tolerance,
     as_matrix,
     as_vector,
+    check_psd,
     pinv,
     psd_factor,
     range_projector,
@@ -64,16 +64,8 @@ class FiniteModel:
             raise ValueError(
                 f"cov must be {m.size}x{m.size} to match the mean, got {k.shape}"
             )
-        scale = max(1.0, float(np.abs(k).max())) if k.size else 1.0
-        if k.size and float(np.abs(k - k.T).max()) > self.tol.abs_psd * scale:
-            raise NotPsdError("cov is asymmetric beyond tolerance")
-        k = symmetrize(k)
-        if k.size:
-            w = np.linalg.eigvalsh(k)
-            if w[0] < -self.tol.abs_psd * scale:
-                raise NotPsdError(f"cov has eigenvalue {w[0]:.3e} below -abs_psd")
         object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", k)
+        object.__setattr__(self, "cov", check_psd(k, self.tol, "cov").matrix)
 
     @property
     def n(self) -> int:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, as_points, kernel_eval, scalar_kernel
-from .linalg import DEFAULT_TOL, Tolerance
+from .kernels import KernelSpec, as_points, cross_kernel
+from .linalg import DEFAULT_TOL, Tolerance, check_psd
 
 
 class SeparationError(RuntimeError):
@@ -75,25 +75,12 @@ class SvmModel:
     n_iter: int
 
 
-def _cross(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if spec.family == "custom":
-        out = np.empty((x.shape[0], y.shape[0]))
-        for a in range(x.shape[0]):
-            for b in range(y.shape[0]):
-                out[a, b] = float(kernel_eval(spec, x[a], y[b])[0, 0])
-        return out
-    return scalar_kernel(spec, x, y)
-
-
 def _check_strict_pd(problem: SvmProblem) -> None:
     pts = np.vstack([problem.d0, problem.d1])
     uniq = np.array(sorted({tuple(r) for r in pts}))
-    g = _cross(problem.kernel, uniq, uniq)
-    w = np.linalg.eigvalsh(0.5 * (g + g.T))
-    scale = max(1.0, float(np.abs(g).max()))
-    if w[0] < -problem.tol.abs_psd * scale:
-        raise ValueError(f"kernel gram has eigenvalue {w[0]:.3e}; not PSD")
-    if w[0] <= problem.tol.abs_psd * scale:
+    gate = check_psd(cross_kernel(problem.kernel, uniq, uniq), problem.tol,
+                     "kernel gram")
+    if gate.values[0] <= gate.floor:
         warnings.warn(
             "kernel gram is not strictly positive definite on the training "
             "points; hull separability is not guaranteed a priori",
@@ -178,9 +165,9 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
     """
     _check_strict_pd(problem)
     spec = problem.kernel
-    k11 = _cross(spec, problem.d1, problem.d1)
-    k00 = _cross(spec, problem.d0, problem.d0)
-    k10 = _cross(spec, problem.d1, problem.d0)
+    k11 = cross_kernel(spec, problem.d1, problem.d1)
+    k00 = cross_kernel(spec, problem.d0, problem.d0)
+    k10 = cross_kernel(spec, problem.d1, problem.d0)
     n1, n0 = k11.shape[0], k00.shape[0]
 
     rng = None if init_seed is None else np.random.default_rng(init_seed)
@@ -278,8 +265,8 @@ def decision_values(model: SvmModel, problem: SvmProblem, points) -> np.ndarray:
     margin hyperplanes sit at g = +/- rho^2 / 2 and the boundary at g = 0.
     """
     pts = as_points(points, "query points")
-    c1 = _cross(problem.kernel, pts, problem.d1)
-    c0 = _cross(problem.kernel, pts, problem.d0)
+    c1 = cross_kernel(problem.kernel, pts, problem.d1)
+    c0 = cross_kernel(problem.kernel, pts, problem.d0)
     return c1 @ model.nu1 - c0 @ model.nu0 - model.offset
 
 
@@ -297,7 +284,7 @@ def xi_distance(problem: SvmProblem, model_a: SvmModel, model_b: SvmModel) -> fl
     coef_a = np.concatenate([model_a.nu1, -model_a.nu0])
     coef_b = np.concatenate([model_b.nu1, -model_b.nu0])
     pts = np.vstack([problem.d1, problem.d0])
-    g = _cross(problem.kernel, pts, pts)
+    g = cross_kernel(problem.kernel, pts, pts)
     d = coef_a - coef_b
     return float(np.sqrt(max(0.0, d @ g @ d)))
 
@@ -338,9 +325,9 @@ def margin_check(model: SvmModel, problem: SvmProblem,
     xi1 = g1 + model.offset
     xi0 = g0 + model.offset
     via_points = float(model.nu1 @ xi1 - model.nu0 @ xi0)
-    k11 = _cross(problem.kernel, problem.d1, problem.d1)
-    k00 = _cross(problem.kernel, problem.d0, problem.d0)
-    k10 = _cross(problem.kernel, problem.d1, problem.d0)
+    k11 = cross_kernel(problem.kernel, problem.d1, problem.d1)
+    k00 = cross_kernel(problem.kernel, problem.d0, problem.d0)
+    k10 = cross_kernel(problem.kernel, problem.d1, problem.d0)
     via_quadratic = float(
         model.nu1 @ k11 @ model.nu1
         - 2.0 * model.nu1 @ k10 @ model.nu0

@@ -188,6 +188,21 @@ class TestKrige:
         direct = k[:, observed] @ np.linalg.solve(k[np.ix_(observed, observed)], y)
         assert np.abs(result.values[:, 0] - direct).max() < 1e-8
 
+    @pytest.mark.parametrize("shift", [1e3, 1e5])
+    def test_translation_invariant_far_from_origin(self, shift):
+        # a stationary kernel sees only differences; the points sit on a
+        # 2^-20 grid, so shifting them by 1e5 is exact and every digit lost
+        # here is lost in the kernel arithmetic
+        rng = np.random.default_rng(3)
+        x = 0.1 * (np.arange(500) + rng.uniform(-0.2, 0.2, 500))
+        x = np.round(x * 2.0 ** 20) / 2.0 ** 20
+        observed = list(range(2, 500, 5))
+        y = np.sin(x[observed])
+        spec = KernelSpec("matern52", lengthscale=0.5)
+        near = krige(ArrayDesign(x[:, None], spec), observed, y).values
+        far = krige(ArrayDesign((x + shift)[:, None], spec), observed, y).values
+        assert np.abs(far - near).max() <= 1e-10
+
     def test_gram_solve_oracle_2d(self):
         rng = np.random.default_rng(11)
         pts = rng.standard_normal((7, 2))

@@ -1,0 +1,32 @@
+"""The runtime depends on numpy alone; scipy is only the tests' oracle."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "olskit").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_source_imports_no_scipy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.append(node.module)
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, olskit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -8,6 +8,7 @@ from olskit.kernels import (
     coarray_apply,
     coarray_cov,
     covariance_metric,
+    cross_kernel,
     covering_number,
     entropy_integral,
     gram,
@@ -15,6 +16,7 @@ from olskit.kernels import (
     metric_matrix,
 )
 from olskit.linalg import pinv
+from olskit.svm import SvmProblem, decision_values, svm_train
 
 from helpers import exhaustive_min_cover, greedy_cover_count, greedy_entropy
 
@@ -129,6 +131,55 @@ class TestGram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one point"):
             gram(KernelSpec("se"), np.zeros((0, 1)))
+
+
+MIX = np.array([[2.0, 0.6], [0.6, 1.0]])
+
+
+class TestCrossKernel:
+    """A custom hook wrapping a closed-form kernel reproduces it everywhere."""
+
+    @pytest.mark.parametrize("base, dim, covalue", [
+        (KernelSpec("se", lengthscale=0.8, variance=1.3), 1, None),
+        (KernelSpec("matern32", lengthscale=1.2), 2, None),
+        (KernelSpec("matern52", coregionalization=[[2.0]]), 2, None),
+        (KernelSpec("wendland", output_dim=2, coregionalization=MIX,
+                    support_radius=2.5), 2, [1.0, -0.5]),
+    ], ids=["se", "matern32-2d", "matern52-mixed", "wendland-q2"])
+    def test_custom_hook_matches_closed_form(self, base, dim, covalue):
+        hook = KernelSpec("custom", output_dim=base.q,
+                          eval_hook=lambda i, j: kernel_eval(base, i, j))
+        rng = np.random.default_rng(31)
+        x, y = rng.standard_normal((5, dim)), rng.standard_normal((3, dim))
+        phi = CoArray(rng.standard_normal((5, base.q)), x)
+        psi = CoArray(rng.standard_normal((3, base.q)), y)
+
+        def close(a, b):
+            return np.allclose(a, b, rtol=1e-13, atol=1e-13)
+
+        # references from one kernel_eval block per pair
+        def blocks(u, v):
+            return np.block([[kernel_eval(base, a, b) for b in v] for a in u])
+
+        e = np.ones(1) if covalue is None else np.asarray(covalue)
+        s = np.array([[e @ kernel_eval(base, a, b) @ e for b in x] for a in x])
+        metric = np.sqrt(np.maximum(
+            np.diag(s)[:, None] + np.diag(s)[None, :] - 2.0 * s, 0.0))
+        cov = sum(w @ kernel_eval(base, a, b) @ v
+                  for w, a in zip(phi.weights, x) for v, b in zip(psi.weights, y))
+        for spec in (base, hook):
+            assert cross_kernel(spec, x, y).shape == (5 * base.q, 3 * base.q)
+            assert close(cross_kernel(spec, x, y), blocks(x, y))
+            assert close(gram(spec, x), blocks(x, x))
+            assert close(metric_matrix(spec, x, covalue), metric)
+            assert close(coarray_cov(spec, phi, psi), cov)
+        if base.q == 1:
+            d0, d1 = x - 2.0, x + 2.0
+            want = svm_train(SvmProblem(base, d0, d1))
+            got = svm_train(SvmProblem(hook, d0, d1))
+            assert close(got.nu0, want.nu0) and close(got.nu1, want.nu1)
+            assert close(decision_values(got, SvmProblem(hook, d0, d1), y),
+                         decision_values(want, SvmProblem(base, d0, d1), y))
 
 
 class TestCoArrays:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from olskit.kernels import KernelSpec, scalar_kernel
+from olskit.linalg import NotPsdError
 from olskit.svm import (
     ConvergenceError,
     SeparationError,
@@ -175,6 +176,17 @@ class TestFailureModes:
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
             SvmProblem(SE, [[0.0, 0.0]], [[0.0, 0.0]])
+
+    def test_non_psd_custom_kernel_rejected(self):
+        # correlation -0.9 between every pair of three points: the all-ones
+        # direction has eigenvalue 1 - 1.8
+        spec = KernelSpec(
+            "custom",
+            eval_hook=lambda i, j: np.array([[1.0 if np.array_equal(i, j) else -0.9]]),
+        )
+        with pytest.raises(NotPsdError, match=r"^kernel gram is not PSD: "
+                           r"eigenvalue -8\.000e-01 below -abs_psd$"):
+            svm_train(SvmProblem(spec, [[0.0], [1.0]], [[2.0]]))
 
     def test_vector_kernel_rejected(self):
         spec = KernelSpec("se", output_dim=2)
