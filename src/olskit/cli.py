@@ -226,6 +226,14 @@ def config_from_dict(raw: dict, source: str = "<config>") -> Config:
                      f"{name}.{key}", "unknown field")
             block[key] = value
         blocks[name] = block
+    _require(isinstance(blocks["krige"]["project"], bool), "krige.project",
+             "must be true or false")
+    _require(_as_number(blocks["svm"]["tol"], "svm.tol") > 0, "svm.tol",
+             "must be > 0")
+    max_iter = blocks["svm"]["max_iter"]
+    _require(isinstance(max_iter, int) and not isinstance(max_iter, bool)
+             and max_iter >= 1, "svm.max_iter", "must be an integer >= 1")
+    _as_number(blocks["fuzzy"]["prior"], "fuzzy.prior")
 
     config = Config(kernel=kernel, seed=raw["seed"], tolerances=tolerances,
                     samples=samples, blocks=blocks)
@@ -348,7 +356,7 @@ def _run_krige(config: Config, data: IndexedDataset,
     points, observed_idx = _merge_design_points(query.points, data.points)
     design = ArrayDesign(points, spec, tol=config.tolerance())
     result = krige(design, observed_idx, data.values,
-                   project=bool(config.blocks["krige"]["project"]))
+                   project=config.blocks["krige"]["project"])
     reproduction = float(
         np.abs(result.values[observed_idx] - data.values).max()
     )
@@ -383,12 +391,9 @@ def _run_classify_svm(config: Config, data: IndexedDataset,
     problem = SvmProblem(spec, d0, d1, tol=config.tolerance())
     block = config.blocks["svm"]
     model = svm_train(problem, tol=float(block["tol"]),
-                      max_iter=int(block["max_iter"]))
+                      max_iter=block["max_iter"])
     audit = margin_check(model, problem)
-    g_train = np.concatenate([
-        decision_values(model, problem, d0),
-        decision_values(model, problem, d1),
-    ])
+    g_train = np.concatenate([audit.decision_0, audit.decision_1])
     want = np.concatenate([np.zeros(len(d0)), np.ones(len(d1))])
     train_errors = int(np.sum((g_train >= 0.0).astype(float) != want))
     metrics = {

@@ -12,12 +12,19 @@ pair, exact line search), followed by an exact solve on the active support
 set.  The certificate is the Frank-Wolfe duality gap, an upper bound on the
 objective suboptimality.  Everything downstream (margin, decision values,
 labels) uses kernel evaluations only.
+
+Each problem builds one signed Gram over ``[d1; d0]`` on first use.  The
+strict-PD gate, the exchange loop, the margin audit's quadratic form and
+``xi_distance`` all read it; the gate runs on its unique-point block, so a
+point repeated within one class does not trip it.  ``margin_check``
+recomputes the pointwise side independently through ``decision_values``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +68,31 @@ class SvmProblem:
         object.__setattr__(self, "d0", p0)
         object.__setattr__(self, "d1", p1)
 
+    @cached_property
+    def signed_gram(self) -> np.ndarray:
+        """Kernel matrix over ``[d1; d0]`` with the class-0 sign folded in.
+
+        Entry (a, b) is s_a s_b c(x_a, x_b), with s = +1 on d1 and -1 on d0,
+        so the nearest-point objective over x = [nu1; nu0] is x^T Q x.  The
+        signs leave the spectrum unchanged, so the PSD gate reads Q itself,
+        restricted to one row per distinct point.
+        """
+        pts = np.vstack([self.d1, self.d0])
+        q = cross_kernel(self.kernel, pts, pts)
+        n1 = self.d1.shape[0]
+        q[:n1, n1:] *= -1.0
+        q[n1:, :n1] *= -1.0
+        uniq = list({tuple(row): a for a, row in enumerate(pts)}.values())
+        gate = check_psd(q[np.ix_(uniq, uniq)], self.tol, "kernel gram")
+        if gate.values[0] <= gate.floor:
+            warnings.warn(
+                "kernel gram is not strictly positive definite on the training "
+                "points; hull separability is not guaranteed a priori",
+                RuntimeWarning,
+                stacklevel=4,  # past cached_property, to the svm function's caller
+            )
+        return q
+
 
 @dataclass(frozen=True)
 class SvmModel:
@@ -75,20 +107,6 @@ class SvmModel:
     n_iter: int
 
 
-def _check_strict_pd(problem: SvmProblem) -> None:
-    pts = np.vstack([problem.d0, problem.d1])
-    uniq = np.array(sorted({tuple(r) for r in pts}))
-    gate = check_psd(cross_kernel(problem.kernel, uniq, uniq), problem.tol,
-                     "kernel gram")
-    if gate.values[0] <= gate.floor:
-        warnings.warn(
-            "kernel gram is not strictly positive definite on the training "
-            "points; hull separability is not guaranteed a priori",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def _initial_weights(n: int, rng: np.random.Generator | None) -> np.ndarray:
     if rng is None:
         return np.full(n, 1.0 / n)
@@ -96,15 +114,11 @@ def _initial_weights(n: int, rng: np.random.Generator | None) -> np.ndarray:
     return raw / raw.sum()
 
 
-def _mdm_pair_step(p: np.ndarray, nu: np.ndarray, k_block: np.ndarray,
-                   sign: float):
-    """Best weight-exchange step on one simplex.
+def _mdm_pair_step(scores: np.ndarray, nu: np.ndarray, k_block: np.ndarray):
+    """Best weight-exchange step on one simplex, lowering its signed scores.
 
-    ``sign=+1`` treats ``p`` as inner products the step should decrease
-    (class-1 side), ``sign=-1`` as ones it should increase (class-0 side).
     Returns (decrease, src, dst, t) or None when no feasible progress.
     """
-    scores = sign * p
     active = np.flatnonzero(nu > 0.0)
     src = active[int(np.argmax(scores[active]))]
     dst = int(np.argmin(scores))
@@ -119,36 +133,37 @@ def _mdm_pair_step(p: np.ndarray, nu: np.ndarray, k_block: np.ndarray,
     return 2.0 * t * num - t * t * max(den, 0.0), int(src), dst, float(t)
 
 
-def _active_set_polish(k11, k10, k00, nu1, nu0):
+def _active_set_polish(q: np.ndarray, x: np.ndarray, n1: int):
     """Solve the equality-constrained QP on the current supports exactly.
 
-    Returns refreshed (nu1, nu0) when the KKT solution stays feasible,
-    otherwise None.
+    Returns refreshed weights [nu1; nu0] when the KKT solution stays
+    feasible, otherwise None.
     """
-    a1 = np.flatnonzero(nu1 > 1e-12)
-    a0 = np.flatnonzero(nu0 > 1e-12)
-    m1, m0 = a1.size, a0.size
-    q = np.block([
-        [k11[np.ix_(a1, a1)], -k10[np.ix_(a1, a0)]],
-        [-k10[np.ix_(a1, a0)].T, k00[np.ix_(a0, a0)]],
-    ])
-    c = np.zeros((2, m1 + m0))
+    a = np.flatnonzero(x > 1e-12)
+    m, m1 = a.size, int(np.searchsorted(a, n1))
+    c = np.zeros((2, m))
     c[0, :m1] = 1.0
     c[1, m1:] = 1.0
-    kkt = np.block([[2.0 * q, c.T], [c, np.zeros((2, 2))]])
-    rhs = np.concatenate([np.zeros(m1 + m0), [1.0, 1.0]])
+    kkt = np.block([[2.0 * q[np.ix_(a, a)], c.T], [c, np.zeros((2, 2))]])
+    rhs = np.concatenate([np.zeros(m), [1.0, 1.0]])
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    x = sol[: m1 + m0]
-    if np.any(x < -1e-10):
+    y = sol[:m]
+    if np.any(y < -1e-10):
         return None
-    x = np.clip(x, 0.0, None)
-    if x[:m1].sum() < 1e-12 or x[m1:].sum() < 1e-12:
+    y = np.clip(y, 0.0, None)
+    if y[:m1].sum() < 1e-12 or y[m1:].sum() < 1e-12:
         return None
-    out1 = np.zeros_like(nu1)
-    out0 = np.zeros_like(nu0)
-    out1[a1] = x[:m1] / x[:m1].sum()
-    out0[a0] = x[m1:] / x[m1:].sum()
-    return out1, out0
+    out = np.zeros_like(x)
+    out[a[:m1]] = y[:m1] / y[:m1].sum()
+    out[a[m1:]] = y[m1:] / y[m1:].sum()
+    return out
+
+
+def _certificate(x: np.ndarray, r: np.ndarray, sides) -> tuple[float, float, float]:
+    """Objective ||xi||^2, offset and Frank-Wolfe duality gap at ``r = Q x``."""
+    w1, w0 = (float(x[s] @ r[s]) for s in sides)
+    gap = 2.0 * ((w1 - float(r[sides[0]].min())) + (w0 - float(r[sides[1]].min())))
+    return w1 + w0, 0.5 * (w1 - w0), gap
 
 
 def svm_train(problem: SvmProblem, tol: float = 1e-10,
@@ -163,80 +178,66 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
     inconsequential for the trained classifier.  Pass a list as ``trace``
     to collect the objective value after every iteration.
     """
-    _check_strict_pd(problem)
-    spec = problem.kernel
-    k11 = cross_kernel(spec, problem.d1, problem.d1)
-    k00 = cross_kernel(spec, problem.d0, problem.d0)
-    k10 = cross_kernel(spec, problem.d1, problem.d0)
-    n1, n0 = k11.shape[0], k00.shape[0]
+    # weights x = [nu1; nu0] and scores r = Q x, which each exchange lowers
+    # on its own class's block
+    q = problem.signed_gram
+    n1, n = problem.d1.shape[0], q.shape[0]
+    sides = (slice(0, n1), slice(n1, n))
+    s1, s0 = sides
 
     rng = None if init_seed is None else np.random.default_rng(init_seed)
-    nu1 = _initial_weights(n1, rng)
-    nu0 = _initial_weights(n0, rng)
+    x = np.concatenate([_initial_weights(n1, rng), _initial_weights(n - n1, rng)])
 
-    def refresh(nu1, nu0):
-        p1 = k11 @ nu1 - k10 @ nu0
-        p0 = k10.T @ nu1 - k00 @ nu0
-        return p1, p0
+    def refresh(x):
+        # r = Q x class block by class block, reading only Q's upper blocks;
+        # this order keeps trained weights and reports bit-identical to the
+        # class-wise kernel sums
+        x1, x0 = x[s1], x[s0]
+        return np.concatenate([q[s1, s1] @ x1 + q[s1, s0] @ x0,
+                               x1 @ q[s1, s0] + q[s0, s0] @ x0])
 
-    p1, p0 = refresh(nu1, nu0)
+    r = refresh(x)
     iters = 0
-    gap = np.inf
     while iters < max_iter:
-        u1w = float(nu1 @ p1)
-        u0w = float(nu0 @ p0)
+        objective, _, gap = _certificate(x, r, sides)
         if trace is not None:
-            trace.append(u1w - u0w)
-        gap = 2.0 * ((u1w - float(p1.min())) + (float(p0.max()) - u0w))
+            trace.append(objective)
         if gap <= tol:
             break
-        step1 = _mdm_pair_step(p1, nu1, k11, +1.0)
-        step0 = _mdm_pair_step(p0, nu0, k00, -1.0)
-        # pick the steeper of the two feasible exchanges
-        cands = []
-        if step1 is not None:
-            cands.append(("1", *step1))
-        if step0 is not None:
-            cands.append(("0", *step0))
-        if not cands:
-            polished = _active_set_polish(k11, k10, k00, nu1, nu0)
+        # the steeper of the two feasible exchanges, class 1 first on a tie
+        steps = []
+        for s in sides:
+            step = _mdm_pair_step(r[s], x[s], q[s, s])
+            if step is not None:
+                dec, src, dst, t = step
+                steps.append((dec, s.start + src, s.start + dst, t))
+        if not steps:
+            polished = _active_set_polish(q, x, n1)
             if polished is None:
                 break
-            nu1, nu0 = polished
-            p1, p0 = refresh(nu1, nu0)
+            x = polished
+            r = refresh(x)
             iters += 1
             continue
-        side, _dec, src, dst, t = max(cands, key=lambda c: c[1])
-        if side == "1":
-            nu1[src] -= t
-            nu1[dst] += t
-            if nu1[src] < 1e-16:
-                nu1[src] = 0.0
-            p1 += t * (k11[:, dst] - k11[:, src])
-            p0 += t * (k10.T[:, dst] - k10.T[:, src])
-        else:
-            nu0[src] -= t
-            nu0[dst] += t
-            if nu0[src] < 1e-16:
-                nu0[src] = 0.0
-            p1 -= t * (k10[:, dst] - k10[:, src])
-            p0 -= t * (k00[:, dst] - k00[:, src])
+        _dec, src, dst, t = max(steps, key=lambda c: c[0])
+        x[src] -= t
+        x[dst] += t
+        if x[src] < 1e-16:
+            x[src] = 0.0
+        r += t * (q[:, dst] - q[:, src])
         iters += 1
         if iters % 512 == 0:
-            p1, p0 = refresh(nu1, nu0)
+            r = refresh(x)
         if iters % 64 == 0:
-            polished = _active_set_polish(k11, k10, k00, nu1, nu0)
+            polished = _active_set_polish(q, x, n1)
             if polished is not None:
-                c1, c0 = polished
-                q1, q0 = refresh(c1, c0)
-                if float(c1 @ q1 - c0 @ q0) <= float(nu1 @ p1 - nu0 @ p0) + 1e-15:
-                    nu1, nu0, p1, p0 = c1, c0, q1, q0
+                rc = refresh(polished)
+                if (_certificate(polished, rc, sides)[0]
+                        <= _certificate(x, r, sides)[0] + 1e-15):
+                    x, r = polished, rc
 
-    p1, p0 = refresh(nu1, nu0)
-    u1w = float(nu1 @ p1)
-    u0w = float(nu0 @ p0)
-    objective = u1w - u0w
-    gap = 2.0 * ((u1w - float(p1.min())) + (float(p0.max()) - u0w))
+    r = refresh(x)
+    objective, offset, gap = _certificate(x, r, sides)
     if gap > tol:
         # covers both the iteration cap and a numerical stall
         raise ConvergenceError(
@@ -248,12 +249,12 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
             f"hulls are not separable at tolerance (rho^2 = {objective:.3e})"
         )
     return SvmModel(
-        nu0=nu0,
-        nu1=nu1,
+        nu0=x[s0],
+        nu1=x[s1],
         rho=float(np.sqrt(objective)),
-        offset=0.5 * (u1w + u0w),
-        gap=float(gap),
-        objective=float(objective),
+        offset=offset,
+        gap=gap,
+        objective=objective,
         n_iter=iters,
     )
 
@@ -281,12 +282,8 @@ def svm_classify(model: SvmModel, problem: SvmProblem, point) -> int:
 
 def xi_distance(problem: SvmProblem, model_a: SvmModel, model_b: SvmModel) -> float:
     """RKHS distance between the separation vectors of two trained models."""
-    coef_a = np.concatenate([model_a.nu1, -model_a.nu0])
-    coef_b = np.concatenate([model_b.nu1, -model_b.nu0])
-    pts = np.vstack([problem.d1, problem.d0])
-    g = cross_kernel(problem.kernel, pts, pts)
-    d = coef_a - coef_b
-    return float(np.sqrt(max(0.0, d @ g @ d)))
+    d = np.concatenate([model_a.nu1 - model_b.nu1, model_a.nu0 - model_b.nu0])
+    return float(np.sqrt(max(0.0, d @ problem.signed_gram @ d)))
 
 
 @dataclass(frozen=True)
@@ -297,6 +294,8 @@ class MarginReport:
     support_indices_0: tuple[int, ...]
     support_indices_1: tuple[int, ...]
     passed: bool
+    decision_0: np.ndarray  # g at each point of d0
+    decision_1: np.ndarray  # g at each point of d1
 
 
 def margin_check(model: SvmModel, problem: SvmProblem,
@@ -307,7 +306,8 @@ def margin_check(model: SvmModel, problem: SvmProblem,
     hyperplanes to ``tol * rho^2``, that every cross pair is separated by
     projected distance at least rho - tol, and that the squared margin from
     the weight quadratic form matches the one recomputed from pointwise
-    kernel sums.
+    kernel sums.  The pointwise side goes through ``decision_values``, not
+    the problem's Gram, so the two sides are computed independently.
     """
     rho2 = model.objective
     g1 = decision_values(model, problem, problem.d1)
@@ -325,14 +325,8 @@ def margin_check(model: SvmModel, problem: SvmProblem,
     xi1 = g1 + model.offset
     xi0 = g0 + model.offset
     via_points = float(model.nu1 @ xi1 - model.nu0 @ xi0)
-    k11 = cross_kernel(problem.kernel, problem.d1, problem.d1)
-    k00 = cross_kernel(problem.kernel, problem.d0, problem.d0)
-    k10 = cross_kernel(problem.kernel, problem.d1, problem.d0)
-    via_quadratic = float(
-        model.nu1 @ k11 @ model.nu1
-        - 2.0 * model.nu1 @ k10 @ model.nu0
-        + model.nu0 @ k00 @ model.nu0
-    )
+    x = np.concatenate([model.nu1, model.nu0])
+    via_quadratic = float(x @ problem.signed_gram @ x)
     xi_defect = abs(via_points - via_quadratic)
     passed = (
         margin_defect <= tol * rho2
@@ -346,4 +340,6 @@ def margin_check(model: SvmModel, problem: SvmProblem,
         support_indices_0=tuple(int(i) for i in sv0),
         support_indices_1=tuple(int(i) for i in sv1),
         passed=passed,
+        decision_0=g0,
+        decision_1=g1,
     )

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from olskit import kernels
 from olskit.cli import (
     ConfigError,
     CsvError,
@@ -14,6 +15,8 @@ from olskit.cli import (
     parse_config,
     serialize_config,
 )
+
+from helpers import blobs_2d
 
 MINIMAL = {"kernel": {"family": "se", "lengthscale": 1.0, "variance": 1.0}, "seed": 0}
 
@@ -56,6 +59,28 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config("/nonexistent/config.json")
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("krige", "project", "false"),
+        ("svm", "tol", -1),
+        ("svm", "tol", True),
+        ("svm", "max_iter", 0),
+        ("svm", "max_iter", 2.7),
+        ("fuzzy", "prior", "0.5"),
+    ])
+    def test_malformed_block_field_is_input_error(self, tmp_path, capsys,
+                                                  block, key, value):
+        config = write_config(tmp_path / "c.json", {block: {key: value}})
+        code = run_cli(["verify", "uii", "--config", config, "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"error: {block}.{key}: " in capsys.readouterr().err
+
+    def test_valid_block_fields_kept_as_given(self):
+        blocks = {"krige": {"project": True}, "svm": {"tol": 1, "max_iter": 5},
+                  "fuzzy": {"prior": 0}}
+        config = config_from_dict({**MINIMAL, **blocks})
+        for name, block in blocks.items():
+            assert config.blocks[name] == block
 
     def test_round_trip_identity(self, tmp_path):
         config = parse_config(write_config(
@@ -184,6 +209,27 @@ class TestClassifyCommands:
         lines = (out / "predictions.csv").read_text().strip().splitlines()
         labels = [float(l.split(",")[-1]) for l in lines[1:]]
         assert labels == [0.0, 1.0]
+
+    def test_svm_evaluates_training_pairs_at_most_twice(self, tmp_path, monkeypatch):
+        # once for the problem's Gram, once for margin_check's pointwise audit
+        d0, d1 = blobs_2d(0, n_per_class=60)
+        rows = [f"{a!r},{b!r},{label}\n" for label, pts in ((0, d0), (1, d1))
+                for a, b in pts.tolist()]
+        data = write_csv(tmp_path / "d.csv", "i_1,i_2,v_1\n" + "".join(rows))
+        config = write_config(tmp_path / "c.json",
+                              {"kernel": {"family": "se", "lengthscale": 0.5}})
+        scalar_kernel = kernels.scalar_kernel
+        entries = []
+
+        def counted(spec, x, y):
+            out = scalar_kernel(spec, x, y)
+            entries.append(out.size)
+            return out
+
+        monkeypatch.setattr(kernels, "scalar_kernel", counted)
+        assert run_cli(["classify-svm", "--config", config, "--data", data,
+                        "--out", tmp_path / "out"]) == 0
+        assert 120 ** 2 <= sum(entries) <= 2 * 120 ** 2
 
     def test_svm_non_separable_exits_one(self, tmp_path):
         config = write_config(tmp_path / "c.json",

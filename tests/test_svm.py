@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from olskit.linalg import NotPsdError
 from olskit.svm import (
     ConvergenceError,
     SeparationError,
+    SvmModel,
     SvmProblem,
     decision_values,
     margin_check,
@@ -91,6 +94,15 @@ class TestSingletonsAndDuplicates:
         assert np.array_equal(model.nu0, [1.0])
         assert np.array_equal(model.nu1, [1.0])
 
+    def test_within_class_duplicate_under_se_keeps_gate_quiet(self):
+        problem = blobs_problem(0)
+        base = svm_train(problem)
+        d1 = np.vstack([problem.d1, problem.d1[:1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dup = svm_train(SvmProblem(SE, problem.d0, d1))
+        assert abs(dup.rho - base.rho) < 1e-8
+
     def test_duplicate_support_point_leaves_margin_unchanged(self):
         base = svm_train(line_problem())
         with pytest.warns(RuntimeWarning, match="strictly positive"):
@@ -143,6 +155,18 @@ class TestBlobs:
         ]
         for other in runs[1:]:
             assert xi_distance(problem, runs[0], other) <= 1e-6
+
+    def test_xi_distance_between_different_models(self):
+        problem = blobs_problem(3)
+        trained = svm_train(problem)
+        n0, n1 = len(problem.d0), len(problem.d1)
+        uniform = SvmModel(nu0=np.full(n0, 1.0 / n0), nu1=np.full(n1, 1.0 / n1),
+                           rho=0.0, offset=0.0, gap=0.0, objective=0.0, n_iter=0)
+        c = np.concatenate([trained.nu1 - uniform.nu1, -(trained.nu0 - uniform.nu0)])
+        pts = np.vstack([problem.d1, problem.d0])
+        expected = np.sqrt(c @ scalar_kernel(SE, pts, pts) @ c)
+        assert expected > 0.1
+        assert abs(xi_distance(problem, trained, uniform) - expected) <= 1e-12 * expected
 
     def test_objective_nonincreasing(self):
         problem = blobs_problem(4)
