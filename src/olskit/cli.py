@@ -169,6 +169,12 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
+def _as_int(value, path: str, minimum: int) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and value >= minimum, path, f"must be an integer >= {minimum}")
+    return value
+
+
 def config_from_dict(raw: dict, source: str = "<config>") -> Config:
     _require(isinstance(raw, dict), "", "config root must be a JSON object")
     known = {"kernel", "seed", "tolerances", "samples", *(_BLOCK_DEFAULTS)}
@@ -187,12 +193,8 @@ def config_from_dict(raw: dict, source: str = "<config>") -> Config:
     _require(kernel["lengthscale"] > 0, "kernel.lengthscale", "must be > 0")
     kernel["variance"] = _as_number(kernel["variance"], "kernel.variance")
     _require(kernel["variance"] > 0, "kernel.variance", "must be > 0")
-    _require(
-        isinstance(kernel["output_dim"], int) and kernel["output_dim"] >= 1,
-        "kernel.output_dim", "must be an integer >= 1",
-    )
-    _require(isinstance(kernel["degree"], int) and kernel["degree"] >= 1,
-             "kernel.degree", "must be an integer >= 1")
+    _as_int(kernel["output_dim"], "kernel.output_dim", 1)
+    _as_int(kernel["degree"], "kernel.degree", 1)
     if kernel["support_radius"] is not None:
         kernel["support_radius"] = _as_number(
             kernel["support_radius"], "kernel.support_radius"
@@ -204,8 +206,7 @@ def config_from_dict(raw: dict, source: str = "<config>") -> Config:
                  "kernel.coregionalization", "must be a matrix (list of rows)")
 
     _require("seed" in raw, "seed", "required field is missing")
-    _require(isinstance(raw["seed"], int) and not isinstance(raw["seed"], bool)
-             and raw["seed"] >= 0, "seed", "must be a nonnegative integer")
+    _as_int(raw["seed"], "seed", 0)
 
     tolerances = {"rcond": 1e-12, "abs_psd": 1e-10}
     for key, value in raw.get("tolerances", {}).items():
@@ -214,9 +215,7 @@ def config_from_dict(raw: dict, source: str = "<config>") -> Config:
         _require(0 < tolerances[key] < 1, f"tolerances.{key}",
                  "must lie strictly between 0 and 1")
 
-    samples = raw.get("samples", 100000)
-    _require(isinstance(samples, int) and samples > 0, "samples",
-             "must be a positive integer")
+    samples = _as_int(raw.get("samples", 100000), "samples", 1)
 
     blocks = {}
     for name, defaults in _BLOCK_DEFAULTS.items():
@@ -230,9 +229,7 @@ def config_from_dict(raw: dict, source: str = "<config>") -> Config:
              "must be true or false")
     _require(_as_number(blocks["svm"]["tol"], "svm.tol") > 0, "svm.tol",
              "must be > 0")
-    max_iter = blocks["svm"]["max_iter"]
-    _require(isinstance(max_iter, int) and not isinstance(max_iter, bool)
-             and max_iter >= 1, "svm.max_iter", "must be an integer >= 1")
+    _as_int(blocks["svm"]["max_iter"], "svm.max_iter", 1)
     _as_number(blocks["fuzzy"]["prior"], "fuzzy.prior")
 
     config = Config(kernel=kernel, seed=raw["seed"], tolerances=tolerances,

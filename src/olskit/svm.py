@@ -6,15 +6,16 @@ the embedded sets.  Training minimizes
 
     || sum_j nu1_j phi(d1_j) - sum_k nu0_k phi(d0_k) ||^2
 
-over the product of probability simplices with a deterministic
-Mitchell-Demyanov-Malozemov style exchange iteration (steepest feasible
-pair, exact line search), followed by an exact solve on the active support
-set.  The certificate is the Frank-Wolfe duality gap, an upper bound on the
+over the product of probability simplices with a primal active-set method
+(Wolfe's nearest-point algorithm, Math. Programming 11, 1976): every
+iteration is one exact solve on the current support, which then drops a
+point whose weight would turn negative or admits the lowest-scoring point.
+The certificate is the Frank-Wolfe duality gap, an upper bound on the
 objective suboptimality.  Everything downstream (margin, decision values,
 labels) uses kernel evaluations only.
 
 Each problem builds one signed Gram over ``[d1; d0]`` on first use.  The
-strict-PD gate, the exchange loop, the margin audit's quadratic form and
+strict-PD gate, training, the margin audit's quadratic form and
 ``xi_distance`` all read it; the gate runs on its unique-point block, so a
 point repeated within one class does not trip it.  ``margin_check``
 recomputes the pointwise side independently through ``decision_values``.
@@ -107,56 +108,24 @@ class SvmModel:
     n_iter: int
 
 
-def _initial_weights(n: int, rng: np.random.Generator | None) -> np.ndarray:
-    if rng is None:
-        return np.full(n, 1.0 / n)
-    raw = rng.exponential(size=n)
-    return raw / raw.sum()
+def _support_solve(q: np.ndarray, a: np.ndarray, n1: int) -> np.ndarray:
+    """Minimizer of x^T Q x on the sorted support ``a``, class sums one each.
 
-
-def _mdm_pair_step(scores: np.ndarray, nu: np.ndarray, k_block: np.ndarray):
-    """Best weight-exchange step on one simplex, lowering its signed scores.
-
-    Returns (decrease, src, dst, t) or None when no feasible progress.
+    Solves the KKT system by least squares, so a singular support block
+    (repeated or collinear points) still yields a minimizer.  The Q block
+    is scaled to entries at most one, which leaves the minimizer unchanged
+    but keeps the cutoff from truncating the constraint rows.
     """
-    active = np.flatnonzero(nu > 0.0)
-    src = active[int(np.argmax(scores[active]))]
-    dst = int(np.argmin(scores))
-    num = scores[src] - scores[dst]
-    if num <= 0.0:
-        return None
-    den = k_block[src, src] - 2.0 * k_block[src, dst] + k_block[dst, dst]
-    cap = nu[src]
-    t = cap if den <= 0.0 else min(cap, num / den)
-    if t <= 0.0:
-        return None
-    return 2.0 * t * num - t * t * max(den, 0.0), int(src), dst, float(t)
-
-
-def _active_set_polish(q: np.ndarray, x: np.ndarray, n1: int):
-    """Solve the equality-constrained QP on the current supports exactly.
-
-    Returns refreshed weights [nu1; nu0] when the KKT solution stays
-    feasible, otherwise None.
-    """
-    a = np.flatnonzero(x > 1e-12)
     m, m1 = a.size, int(np.searchsorted(a, n1))
+    qa = q[np.ix_(a, a)]
     c = np.zeros((2, m))
     c[0, :m1] = 1.0
     c[1, m1:] = 1.0
-    kkt = np.block([[2.0 * q[np.ix_(a, a)], c.T], [c, np.zeros((2, 2))]])
+    scale = max(1.0, float(np.abs(qa).max()))
+    kkt = np.block([[2.0 * qa / scale, c.T], [c, np.zeros((2, 2))]])
     rhs = np.concatenate([np.zeros(m), [1.0, 1.0]])
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    y = sol[:m]
-    if np.any(y < -1e-10):
-        return None
-    y = np.clip(y, 0.0, None)
-    if y[:m1].sum() < 1e-12 or y[m1:].sum() < 1e-12:
-        return None
-    out = np.zeros_like(x)
-    out[a[:m1]] = y[:m1] / y[:m1].sum()
-    out[a[m1:]] = y[m1:] / y[m1:].sum()
-    return out
+    return sol[:m]
 
 
 def _certificate(x: np.ndarray, r: np.ndarray, sides) -> tuple[float, float, float]:
@@ -169,24 +138,30 @@ def _certificate(x: np.ndarray, r: np.ndarray, sides) -> tuple[float, float, flo
 def svm_train(problem: SvmProblem, tol: float = 1e-10,
               max_iter: int = 200_000, init_seed: int | None = None,
               trace: list | None = None) -> SvmModel:
-    """Train the maximum-margin classifier.
+    """Train the maximum-margin classifier with the active-set method.
 
-    Terminates when the duality-gap certificate drops below ``tol`` (so the
-    objective is within ``tol`` of optimal).  ``init_seed=None`` starts from
-    uniform weights; a seed starts from a random point of the simplex
-    product, which the uniqueness of the separation vector makes
-    inconsequential for the trained classifier.  Pass a list as ``trace``
-    to collect the objective value after every iteration.
+    Each iteration solves the equality-constrained QP on the current
+    support.  A solution with a negative weight is followed only until the
+    first weight reaches zero, and that point leaves the support; a
+    feasible one is accepted and certified, and the lowest-scoring point of
+    the class with the larger gap term joins the support.  Terminates when
+    the duality-gap certificate drops below ``tol`` (so the objective is
+    within ``tol`` of optimal).  Admitting a point already in the support,
+    or dropping the point just admitted, is a rounding stall: training
+    stops there and raises ``ConvergenceError``.
+
+    ``init_seed=None`` starts at the vertex of the first point of each
+    class; a seed picks a random vertex, which the uniqueness of the
+    separation vector makes inconsequential for the trained classifier.
+    ``max_iter`` and ``n_iter`` count support solves.  Pass a list as
+    ``trace`` to collect the objective value at the start and after every
+    solve.
     """
-    # weights x = [nu1; nu0] and scores r = Q x, which each exchange lowers
-    # on its own class's block
+    # weights x = [nu1; nu0] and scores r = Q x
     q = problem.signed_gram
     n1, n = problem.d1.shape[0], q.shape[0]
     sides = (slice(0, n1), slice(n1, n))
     s1, s0 = sides
-
-    rng = None if init_seed is None else np.random.default_rng(init_seed)
-    x = np.concatenate([_initial_weights(n1, rng), _initial_weights(n - n1, rng)])
 
     def refresh(x):
         # r = Q x class block by class block, reading only Q's upper blocks;
@@ -196,50 +171,63 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
         return np.concatenate([q[s1, s1] @ x1 + q[s1, s0] @ x0,
                                x1 @ q[s1, s0] + q[s0, s0] @ x0])
 
-    r = refresh(x)
+    start = [0, n1]
+    if init_seed is not None:
+        rng = np.random.default_rng(init_seed)
+        start = [int(rng.integers(n1)), n1 + int(rng.integers(n - n1))]
+    support = np.zeros(n, dtype=bool)
+    support[start] = True
+    a, y = np.flatnonzero(support), np.ones(2)  # a vertex solves its own support
+    x = np.zeros(n)
+    j = -1  # the point admitted last
     iters = 0
-    while iters < max_iter:
-        objective, _, gap = _certificate(x, r, sides)
-        if trace is not None:
-            trace.append(objective)
-        if gap <= tol:
-            break
-        # the steeper of the two feasible exchanges, class 1 first on a tie
-        steps = []
-        for s in sides:
-            step = _mdm_pair_step(r[s], x[s], q[s, s])
-            if step is not None:
-                dec, src, dst, t = step
-                steps.append((dec, s.start + src, s.start + dst, t))
-        if not steps:
-            polished = _active_set_polish(q, x, n1)
-            if polished is None:
+    while True:
+        if y.min() < -1e-10:
+            # ratio step: toward y until the first weight reaches zero
+            xa = x[a]
+            neg = np.flatnonzero(y < 0.0)
+            ratios = xa[neg] / (xa[neg] - y[neg])
+            k = int(np.argmin(ratios))
+            if a[neg[k]] == j:
+                # the point just admitted keeps positive weight in exact
+                # arithmetic (Wolfe), so dropping it is a rounding stall
                 break
-            x = polished
+            x[a] = np.clip(xa + ratios[k] * (y - xa), 0.0, None)
+            x[a[neg[k]]] = 0.0
+            support[a[neg[k]]] = False
+            if trace is not None:
+                trace.append(float(x @ refresh(x)))
+        else:
+            y = np.clip(y, 0.0, None)
+            m1 = int(np.searchsorted(a, n1))
+            sums = y[:m1].sum(), y[m1:].sum()
+            if max(abs(total - 1.0) for total in sums) > 1e-6:
+                break  # the solve lost its constraints; the final check fails
+            x[a[:m1]] = y[:m1] / sums[0]
+            x[a[m1:]] = y[m1:] / sums[1]
             r = refresh(x)
-            iters += 1
-            continue
-        _dec, src, dst, t = max(steps, key=lambda c: c[0])
-        x[src] -= t
-        x[dst] += t
-        if x[src] < 1e-16:
-            x[src] = 0.0
-        r += t * (q[:, dst] - q[:, src])
+            objective, _, gap = _certificate(x, r, sides)
+            if trace is not None:
+                trace.append(objective)
+            if gap <= tol:
+                break
+            # admit the lowest score of the class further from its minimum,
+            # class 1 on a tie; a point already admitted is a rounding stall
+            side = max(sides, key=lambda s: x[s] @ r[s] - r[s].min())
+            j = side.start + int(np.argmin(r[side]))
+            if support[j]:
+                break
+            support[j] = True
+        if iters >= max_iter:
+            break
+        a = np.flatnonzero(support)
+        y = _support_solve(q, a, n1)
         iters += 1
-        if iters % 512 == 0:
-            r = refresh(x)
-        if iters % 64 == 0:
-            polished = _active_set_polish(q, x, n1)
-            if polished is not None:
-                rc = refresh(polished)
-                if (_certificate(polished, rc, sides)[0]
-                        <= _certificate(x, r, sides)[0] + 1e-15):
-                    x, r = polished, rc
 
     r = refresh(x)
     objective, offset, gap = _certificate(x, r, sides)
     if gap > tol:
-        # covers both the iteration cap and a numerical stall
+        # covers the iteration cap, a lost constraint and a rounding stall
         raise ConvergenceError(
             f"duality gap {gap:.3e} above tol {tol:.3e} after {iters} iterations",
             gap=gap,

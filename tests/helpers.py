@@ -168,6 +168,20 @@ def svm_qp_oracle(k11: np.ndarray, k10: np.ndarray, k00: np.ndarray,
     return best
 
 
+def nearest_point_gap(k11: np.ndarray, k10: np.ndarray, k00: np.ndarray,
+                      nu1: np.ndarray, nu0: np.ndarray) -> float:
+    """Frank-Wolfe duality gap of the two-simplex nearest-point QP at (nu1, nu0).
+
+    With p1 = K11 nu1 - K10 nu0 and p0 = K10^T nu1 - K00 nu0 (the separation
+    vector evaluated at each class's points), the gap is
+    2 [(nu1.p1 - min p1) + (max p0 - nu0.p0)], an upper bound on the
+    objective's distance from its minimum.
+    """
+    p1 = k11 @ nu1 - k10 @ nu0
+    p0 = k10.T @ nu1 - k00 @ nu0
+    return float(2.0 * ((nu1 @ p1 - p1.min()) + (p0.max() - nu0 @ p0)))
+
+
 def blobs_2d(seed: int, n_per_class: int = 12, gap: float = 3.0):
     """Seeded separable point clouds in the plane."""
     rng = np.random.default_rng(seed)

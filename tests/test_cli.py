@@ -75,6 +75,17 @@ class TestConfig:
         assert code == 2
         assert f"error: {block}.{key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, path", [
+        ({"samples": True}, "samples"),
+        ({"kernel": {**MINIMAL["kernel"], "output_dim": True}}, "kernel.output_dim"),
+        ({"kernel": {**MINIMAL["kernel"], "degree": True}}, "kernel.degree"),
+    ])
+    def test_boolean_integer_field_is_input_error(self, tmp_path, capsys, extra, path):
+        config = write_config(tmp_path / "c.json", extra)
+        code = run_cli(["verify", "uii", "--config", config, "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"error: {path}: must be an integer >= 1" in capsys.readouterr().err
+
     def test_valid_block_fields_kept_as_given(self):
         blocks = {"krige": {"project": True}, "svm": {"tol": 1, "max_iter": 5},
                   "fuzzy": {"prior": 0}}

@@ -18,7 +18,7 @@ from olskit.svm import (
     xi_distance,
 )
 
-from helpers import blobs_2d, svm_qp_oracle
+from helpers import blobs_2d, nearest_point_gap, svm_qp_oracle
 
 LINEAR = KernelSpec("linear")
 SE = KernelSpec("se", lengthscale=1.5)
@@ -33,6 +33,13 @@ def line_problem():
 def blobs_problem(seed=0):
     d0, d1 = blobs_2d(seed)
     return SvmProblem(SE, d0, d1)
+
+
+def recomputed_gap(problem, model):
+    """Duality gap of a trained model from a Gram built by ``scalar_kernel``."""
+    d0, d1, spec = problem.d0, problem.d1, problem.kernel
+    return nearest_point_gap(scalar_kernel(spec, d1, d1), scalar_kernel(spec, d1, d0),
+                             scalar_kernel(spec, d0, d0), model.nu1, model.nu0)
 
 
 @pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
@@ -216,3 +223,117 @@ class TestFailureModes:
         spec = KernelSpec("se", output_dim=2)
         with pytest.raises(ValueError, match="scalar"):
             SvmProblem(spec, [[0.0]], [[1.0]])
+
+
+def overlapping_blobs(offset, n):
+    rng = np.random.default_rng(0)
+    c = np.array([offset, 0.0])
+    d0 = -c + 0.5 * rng.standard_normal((n, 2))
+    d1 = c + 0.5 * rng.standard_normal((n, 2))
+    return SvmProblem(KernelSpec("se", lengthscale=0.7), d0, d1)
+
+
+@pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
+class TestOverlappingBlobs:
+    # nearly touching and intersecting hulls, on which pairwise weight
+    # exchanges (Mitchell-Demyanov-Malozemov) stall far above tol
+    def test_near_touching_hulls_certify(self):
+        problem = overlapping_blobs(0.75, 100)
+        model = svm_train(problem, max_iter=2000)
+        assert recomputed_gap(problem, model) <= 1e-10 + 1e-14
+        assert margin_check(model, problem).passed
+
+    def test_thin_margin_certifies(self):
+        problem = overlapping_blobs(1.0, 100)
+        model = svm_train(problem, max_iter=2000)
+        assert recomputed_gap(problem, model) <= 1e-10 + 1e-14
+        assert model.rho == pytest.approx(2.1956353e-3, rel=1e-7)
+
+    def test_intersecting_hulls_not_separable(self):
+        with pytest.raises(SeparationError):
+            svm_train(overlapping_blobs(1.0, 300), max_iter=2000)
+
+
+@pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
+@pytest.mark.parametrize("seed", range(6))
+def test_large_gram_entries_keep_weights_on_simplices(seed):
+    # cubic polynomial kernel on points near (12, 12, 12): Gram entries
+    # reach 3e8-6e8, where an unscaled KKT solve loses its constraint rows
+    # to the least-squares cutoff
+    rng = np.random.default_rng(seed)
+    d0 = 3.0 * rng.standard_normal((30, 3))
+    d1 = 3.0 * (rng.standard_normal((30, 3)) + 4.0)
+    problem = SvmProblem(KernelSpec("polynomial", degree=3), d0, d1)
+    tol = 1e-13 * float(np.abs(problem.signed_gram).max())
+    model = svm_train(problem, tol=tol)
+    for nu in (model.nu0, model.nu1):
+        assert abs(nu.sum() - 1.0) <= 1e-12
+        assert nu.min() >= 0.0
+    assert recomputed_gap(problem, model) <= tol
+
+
+@pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
+@pytest.mark.parametrize("seed", [2, 6, 8])
+def test_rounding_stall_fails_at_once(seed):
+    # cubic kernel on 1-d points of scale 10: Gram entries reach ~2e8, so
+    # rounding in the scores stays above the default absolute tol, and the
+    # point just admitted comes back from the solve with a negative weight
+    rng = np.random.default_rng(seed)
+    d0 = 10.0 * rng.standard_normal((10, 1))
+    d1 = 10.0 * (rng.standard_normal((10, 1)) + 1.0)
+    problem = SvmProblem(KernelSpec("polynomial", degree=3), d0, d1)
+    trace: list = []
+    with pytest.raises(ConvergenceError):
+        svm_train(problem, max_iter=500, trace=trace)
+    assert len(trace) <= 20
+
+
+SWEEP_SPECS = (
+    KernelSpec("se", lengthscale=0.7),
+    KernelSpec("se", lengthscale=3.0),
+    KernelSpec("matern12"),
+    KernelSpec("matern32"),
+    KernelSpec("matern52"),
+    KernelSpec("linear"),
+    KernelSpec("polynomial", degree=2),
+    KernelSpec("polynomial", degree=3),
+    KernelSpec("wendland", support_radius=3.0),
+)
+
+
+def sweep_cases(count=90):
+    """Seeded problems cycling over the kernel families.
+
+    Each draws a dimension of 1-3, 1-39 points per class and a class offset
+    along the first axis.  About 30 % are rounded to a half-unit grid (class
+    1 shifted by a quarter, so the classes stay disjoint) with two repeated
+    points added to each class.
+    """
+    rng = np.random.default_rng(12345)
+    cases = []
+    for i in range(count):
+        d = int(rng.integers(1, 4))
+        n0, n1 = (int(v) for v in rng.integers(1, 40, size=2))
+        offset = float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+        d0 = rng.standard_normal((n0, d))
+        d1 = rng.standard_normal((n1, d))
+        d1[:, 0] += offset
+        if rng.random() < 0.3:
+            d0 = np.round(2.0 * d0) / 2.0
+            d1 = np.round(2.0 * d1) / 2.0 + 0.25
+            d0 = np.vstack([d0, d0[rng.integers(n0, size=2)]])
+            d1 = np.vstack([d1, d1[rng.integers(n1, size=2)]])
+        spec = SWEEP_SPECS[i % len(SWEEP_SPECS)]
+        cases.append(pytest.param(spec, d0, d1, id=f"{i}-{spec.family}"))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
+@pytest.mark.parametrize("spec, d0, d1", sweep_cases())
+def test_kernel_family_sweep_certifies_or_reports_overlap(spec, d0, d1):
+    problem = SvmProblem(spec, d0, d1)
+    try:
+        model = svm_train(problem, max_iter=5000)
+    except SeparationError:
+        return
+    assert recomputed_gap(problem, model) <= 1e-10 + 1e-14
