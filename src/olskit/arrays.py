@@ -105,8 +105,9 @@ def restriction_map(design: ArrayDesign, subset: Sequence[int]) -> ObservationMa
     idx = _validate_subset(design, subset)
     q, n = design.q, design.n_points * design.q
     g = np.zeros((len(idx) * q, n))
-    for row, i in enumerate(idx):
-        g[row * q:(row + 1) * q, i * q:(i + 1) * q] = np.eye(q)
+    # row block r is the identity on column block idx[r]
+    cols = np.asarray(idx, dtype=int)[:, None] * q + np.arange(q)
+    g[np.arange(len(idx) * q), cols.ravel()] = 1.0
     return ObservationMap(g)
 
 

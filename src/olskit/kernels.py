@@ -138,15 +138,25 @@ def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     |x|^2 + |y|^2 - 2 x.y cancels catastrophically away from the origin;
     differencing first keeps every digit the points themselves carry.
     """
-    d2 = np.zeros((x.shape[0], y.shape[0]))
-    for xc, yc in zip(x.T, y.T):
-        diff = np.subtract.outer(xc, yc)
-        d2 += np.square(diff, out=diff)
+    if x.shape[1] == 0:
+        return np.zeros((x.shape[0], y.shape[0]))
+    d2 = np.subtract.outer(x[:, 0], y[:, 0])
+    np.square(d2, out=d2)
+    if x.shape[1] > 1:
+        diff = np.empty_like(d2)
+        for xc, yc in zip(x.T[1:], y.T[1:]):
+            np.subtract.outer(xc, yc, out=diff)
+            d2 += np.square(diff, out=diff)
     return d2
 
 
 def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
-    """Scalar kernel values between the rows of x and of y, as an (n, m) array."""
+    """Scalar kernel values between the rows of x and of y, as an (n, m) array.
+
+    Each family is evaluated in place, on at most three (n, m) buffers, in
+    the operation order of the closed form given in its comment, so every
+    value is bitwise the one that closed form gives.
+    """
     x = as_points(x, "x")
     y = as_points(y, "y")
     if x.shape[1] != y.shape[1]:
@@ -155,26 +165,60 @@ def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
         )
     s2, ell = spec.variance, spec.lengthscale
     if spec.family in _DOT_PRODUCT:
-        dots = (x @ y.T) / (ell * ell)
-        if spec.family == "linear":
-            return s2 * dots
-        return s2 * (1.0 + dots) ** spec.degree
-    d2 = _squared_distances(x, y)
-    r = np.sqrt(d2)
+        # linear: s2 * (x.y / ell^2); polynomial: s2 * (1 + x.y / ell^2)^degree
+        out = x @ y.T
+        out /= ell * ell
+        if spec.family == "polynomial":
+            out += 1.0
+            out **= spec.degree  # the same power path as `** degree`
+        out *= s2
+        return out
+    if spec.family not in _STATIONARY:
+        raise ValueError(f"scalar form undefined for family {spec.family!r}")
+    out = _squared_distances(x, y)
     if spec.family == "se":
-        return s2 * np.exp(-0.5 * d2 / (ell * ell))
+        # s2 * exp((-0.5 * d^2) / ell^2)
+        out *= -0.5
+        out /= ell * ell
+        np.exp(out, out=out)
+        out *= s2
+        return out
+    np.sqrt(out, out=out)  # r
     if spec.family == "matern12":
-        return s2 * np.exp(-r / ell)
-    if spec.family == "matern32":
-        z = np.sqrt(3.0) * r / ell
-        return s2 * (1.0 + z) * np.exp(-z)
-    if spec.family == "matern52":
-        z = np.sqrt(5.0) * r / ell
-        return s2 * (1.0 + z + z * z / 3.0) * np.exp(-z)
+        # s2 * exp(-r / ell)
+        np.negative(out, out=out)
+        out /= ell
+        np.exp(out, out=out)
+        out *= s2
+        return out
     if spec.family == "wendland":
-        t = r / spec.support_radius
-        return s2 * np.where(t < 1.0, (1.0 - t) ** 4 * (4.0 * t + 1.0), 0.0)
-    raise ValueError(f"scalar form undefined for family {spec.family!r}")
+        # s2 * where(t < 1, (1 - t)^4 * (4 t + 1), 0) with t = r / R
+        out /= spec.support_radius
+        outside = out >= 1.0
+        poly = np.subtract(1.0, out)
+        poly **= 4
+        out *= 4.0
+        out += 1.0
+        poly *= out
+        poly[outside] = 0.0
+        poly *= s2
+        return poly
+    # Matern-3/2: (s2 * (1 + z)) * exp(-z) with z = (sqrt(3) r) / ell;
+    # Matern-5/2: (s2 * ((1 + z) + (z z) / 3)) * exp(-z) with sqrt(5)
+    out *= np.sqrt(3.0 if spec.family == "matern32" else 5.0)
+    out /= ell
+    decay = np.negative(out)
+    np.exp(decay, out=decay)
+    if spec.family == "matern52":
+        zz = np.square(out)
+        zz /= 3.0
+        out += 1.0
+        out += zz
+    else:
+        out += 1.0
+    out *= s2
+    out *= decay
+    return out
 
 
 def kernel_eval(spec: KernelSpec, i, j) -> np.ndarray:
@@ -333,13 +377,20 @@ def metric_matrix(spec: KernelSpec, points, covalue=None) -> np.ndarray:
     pts = as_points(points)
     if spec.q > 1 and covalue is None:
         raise ValueError("metric_matrix needs an explicit covalue when q > 1")
-    e = np.atleast_1d(np.asarray(1.0 if covalue is None else covalue, float))
     n, q = pts.shape[0], spec.q
-    c = cross_kernel(spec, pts, pts).reshape(n, q, n, q)
-    s = np.einsum("aibj,ij->ab", c, np.outer(e, e))  # e^T c(i_a, i_b) e
+    c = cross_kernel(spec, pts, pts)
+    if q == 1 and covalue is None:
+        s = c  # e^T c e with the unit co-value is c itself
+    else:
+        e = np.atleast_1d(np.asarray(covalue, float))
+        s = np.einsum("aibj,ij->ab", c.reshape(n, q, n, q), np.outer(e, e))
     diag = np.diag(s)
-    t = np.maximum(diag[:, None] + diag[None, :] - 2.0 * s, 0.0)
-    return np.sqrt(t)
+    # t = (diag_a + diag_b) - 2 s, built before s is overwritten
+    t = np.add.outer(diag, diag)
+    s *= 2.0
+    t -= s
+    np.maximum(t, 0.0, out=t)
+    return np.sqrt(t, out=t)
 
 
 def _lexicographic_start(points: np.ndarray) -> int:

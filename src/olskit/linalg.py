@@ -1,9 +1,10 @@
 """Dense linear-algebra primitives shared by every other module.
 
 All routines are pure functions of their inputs and are deterministic:
-pseudoinverses and spectral norms go through SVD, PSD factorization goes
-through a symmetric eigendecomposition with a fixed ordering and sign
-convention, so repeated calls produce bit-identical output.
+pseudoinverses and spectral norms go through SVD, PSD checks through a
+shifted Cholesky factorization, and PSD factorization through a symmetric
+eigendecomposition with a fixed ordering and sign convention, so repeated
+calls produce bit-identical output.
 """
 
 from __future__ import annotations
@@ -128,43 +129,69 @@ def range_projector(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def _fix_eigvec_signs(vecs: np.ndarray) -> np.ndarray:
     """Make each column's first significantly nonzero entry positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, j] = -col
-    return out
+    if vecs.size == 0:
+        return vecs.copy()
+    mag = np.abs(vecs)
+    significant = mag > 1e-12 * np.maximum(1.0, mag.max(axis=0))
+    first = significant.argmax(axis=0)  # 0 for a column with no such entry
+    lead = vecs[first, np.arange(vecs.shape[1])]
+    flip = significant.any(axis=0) & (lead < 0.0)
+    return np.where(flip, -vecs, vecs)
 
 
 class PsdSpectrum(NamedTuple):
-    """A matrix that passed ``check_psd``, with its ascending spectrum."""
+    """A matrix that passed ``check_psd``, with its spectrum when computed."""
 
-    matrix: np.ndarray          # the symmetrized input
-    values: np.ndarray          # ascending eigenvalues
+    matrix: np.ndarray          # the input, symmetrized if it was not exactly
+    values: np.ndarray | None   # ascending eigenvalues, when computed
     vectors: np.ndarray | None  # matching eigenvectors, when asked for
     floor: float                # abs_psd * max(1, max|k|)
 
 
+def _cholesky_certifies(sym: np.ndarray, floor: float) -> bool:
+    """Whether ``sym + floor * I`` has a Cholesky factor, i.e. lambda_min > -floor."""
+    shifted = sym.copy()
+    shifted.ravel()[:: shifted.shape[0] + 1] += floor
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
-              vectors: bool = False) -> PsdSpectrum:
+              values: bool = False, vectors: bool = False) -> PsdSpectrum:
     """The one PSD gate: ``k`` is square, symmetric and positive semidefinite.
 
     ``k`` must already be a finite 2-d array (see ``as_matrix``).  Both the
     asymmetry and the most negative eigenvalue are held to the same floor,
-    ``abs_psd * max(1, max|k|)``.  The matrix is symmetrized once, and only
-    its eigenvalues are computed unless ``vectors`` asks for eigenvectors.
-    Raises NotPsdError, naming ``name``, on failure.
+    ``abs_psd * max(1, max|k|)``.  An exactly symmetric ``k`` is returned as
+    it is; any other is symmetrized once.
+
+    Acceptance is certified by one Cholesky factorization of ``K + floor*I``,
+    which exists exactly when lambda_min(K) > -floor, up to rounding (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10).  Eigenvalues
+    are computed in two cases only: when that factorization fails, so that
+    ``eigvalsh`` decides and a rejection names lambda_min, and when the
+    caller reads them (``values`` for the ascending eigenvalues, ``vectors``
+    for the eigenvectors as well).  Raises NotPsdError, naming ``name``, on
+    failure.
     """
     n, m = k.shape
     if n != m:
         raise NotPsdError(f"{name} must be square, got {n}x{m}")
     floor = tol.abs_psd * (max(1.0, float(np.abs(k).max())) if k.size else 1.0)
-    if k.size and float(np.abs(k - k.T).max()) > floor:
-        raise NotPsdError(f"{name} is asymmetric beyond tolerance")
-    sym = symmetrize(k)
-    w, v = np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
-    if w.size and float(w[0]) < -floor:
+    sym = k
+    if not np.array_equal(k, k.T):
+        if float(np.abs(k - k.T).max()) > floor:
+            raise NotPsdError(f"{name} is asymmetric beyond tolerance")
+        sym = symmetrize(k)
+    w = v = None
+    if vectors:
+        w, v = np.linalg.eigh(sym)
+    elif values or not _cholesky_certifies(sym, floor):
+        w = np.linalg.eigvalsh(sym)
+    if w is not None and w.size and float(w[0]) < -floor:
         raise NotPsdError(f"{name} is not PSD: eigenvalue {w[0]:.3e} below -abs_psd")
     return PsdSpectrum(sym, w, v, floor)
 

@@ -84,7 +84,7 @@ class SvmProblem:
         q[:n1, n1:] *= -1.0
         q[n1:, :n1] *= -1.0
         uniq = list({tuple(row): a for a, row in enumerate(pts)}.values())
-        gate = check_psd(q[np.ix_(uniq, uniq)], self.tol, "kernel gram")
+        gate = check_psd(q[np.ix_(uniq, uniq)], self.tol, "kernel gram", values=True)
         if gate.values[0] <= gate.floor:
             warnings.warn(
                 "kernel gram is not strictly positive definite on the training "

@@ -188,3 +188,62 @@ def blobs_2d(seed: int, n_per_class: int = 12, gap: float = 3.0):
     d0 = rng.standard_normal((n_per_class, 2)) * 0.6 + np.array([0.0, 0.0])
     d1 = rng.standard_normal((n_per_class, 2)) * 0.6 + np.array([gap, gap])
     return d0, d1
+
+
+def closed_form_kernel(family: str, x: np.ndarray, y: np.ndarray, variance: float,
+                       lengthscale: float, degree: int = 2,
+                       support_radius: float | None = None) -> np.ndarray:
+    """Scalar kernel values as whole-array expressions of each closed form.
+
+    Squared distances are summed over explicit coordinate differences from
+    zero, and every family is one expression with fresh temporaries, so an
+    in-place evaluation that keeps the operation order must agree bit for bit.
+    """
+    s2, ell = variance, lengthscale
+    if family in ("linear", "polynomial"):
+        dots = (x @ y.T) / (ell * ell)
+        if family == "linear":
+            return s2 * dots
+        return s2 * (1.0 + dots) ** degree
+    d2 = np.zeros((x.shape[0], y.shape[0]))
+    for xc, yc in zip(x.T, y.T):
+        d2 = d2 + np.subtract.outer(xc, yc) ** 2
+    r = np.sqrt(d2)
+    if family == "se":
+        return s2 * np.exp(-0.5 * d2 / (ell * ell))
+    if family == "matern12":
+        return s2 * np.exp(-r / ell)
+    if family == "matern32":
+        z = np.sqrt(3.0) * r / ell
+        return s2 * (1.0 + z) * np.exp(-z)
+    if family == "matern52":
+        z = np.sqrt(5.0) * r / ell
+        return s2 * (1.0 + z + z * z / 3.0) * np.exp(-z)
+    if family == "wendland":
+        t = r / support_radius
+        return s2 * np.where(t < 1.0, (1.0 - t) ** 4 * (4.0 * t + 1.0), 0.0)
+    raise ValueError(f"no closed form for {family!r}")
+
+
+def einsum_metric_matrix(blocks: np.ndarray, covalue: np.ndarray) -> np.ndarray:
+    """sqrt(max(t, 0)) of t_ab = s_aa + s_bb - 2 s_ab, s_ab = e^T c(i_a, i_b) e.
+
+    ``blocks`` is the (n q) x (n q) point-major kernel matrix.
+    """
+    e = np.atleast_1d(np.asarray(covalue, dtype=float))
+    q = e.size
+    n = blocks.shape[0] // q
+    s = np.einsum("aibj,ij->ab", blocks.reshape(n, q, n, q), np.outer(e, e))
+    diag = np.diag(s)
+    return np.sqrt(np.maximum(diag[:, None] + diag[None, :] - 2.0 * s, 0.0))
+
+
+def first_significant_positive(vecs: np.ndarray) -> np.ndarray:
+    """Column loop: negate a column whose first entry above 1e-12 max(1, max|col|) is < 0."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))
+        if nz.size and col[nz[0]] < 0.0:
+            out[:, j] = -col
+    return out

@@ -66,20 +66,22 @@ class TestModelFromDesign:
         with pytest.raises(NotPsdError, match="eigenvalue"):
             krige(design, [0], [1.0])
 
-    def test_krige_runs_one_prior_sized_eigensolve(self, monkeypatch):
+    def test_krige_certifies_prior_with_one_cholesky_and_no_eigensolve(self, monkeypatch):
         n = 30
         design = grid_design(n=n, ell=0.3, family="matern52")
-        sizes = []
-        for name in ("eigvalsh", "eigh"):
+        sizes = {"eigvalsh": [], "eigh": [], "cholesky": []}
+        for name in sizes:
             original = getattr(np.linalg, name)
 
-            def counted(a, *args, _original=original, **kwargs):
-                sizes.append(np.shape(a))
+            def counted(a, *args, _original=original, _name=name, **kwargs):
+                sizes[_name].append(np.shape(a))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         krige(design, list(range(0, n, 5)), np.arange(6.0))
-        assert sizes.count((n, n)) == 1
+        assert sizes["eigvalsh"].count((n, n)) == 0
+        assert sizes["eigh"].count((n, n)) == 0
+        assert sizes["cholesky"].count((n, n)) == 1
 
 
 class TestRestrictionMap:

@@ -14,11 +14,18 @@ from olskit.kernels import (
     gram,
     kernel_eval,
     metric_matrix,
+    scalar_kernel,
 )
 from olskit.linalg import pinv
 from olskit.svm import SvmProblem, decision_values, svm_train
 
-from helpers import exhaustive_min_cover, greedy_cover_count, greedy_entropy
+from helpers import (
+    closed_form_kernel,
+    einsum_metric_matrix,
+    exhaustive_min_cover,
+    greedy_cover_count,
+    greedy_entropy,
+)
 
 ALL_FAMILIES = [
     KernelSpec("se", lengthscale=0.8, variance=1.3),
@@ -180,6 +187,41 @@ class TestCrossKernel:
             assert close(got.nu0, want.nu0) and close(got.nu1, want.nu1)
             assert close(decision_values(got, SvmProblem(hook, d0, d1), y),
                          decision_values(want, SvmProblem(base, d0, d1), y))
+
+
+class TestBitwiseValues:
+    """In-place evaluation keeps every closed form's value bit for bit."""
+
+    @pytest.mark.parametrize("base", ALL_FAMILIES + [
+        KernelSpec("polynomial", lengthscale=0.7, degree=2),
+    ], ids=lambda spec: f"{spec.family}-{spec.degree}")
+    @pytest.mark.parametrize("variance", [1.0, 2.3])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_scalar_kernel_matches_closed_form(self, base, variance, dim):
+        spec = KernelSpec(base.family, base.lengthscale, variance,
+                          degree=base.degree, support_radius=base.support_radius)
+        rng = np.random.default_rng([dim, int(10 * variance)])
+        x = rng.standard_normal((9, dim)) * 1.5 + 100.0
+        y = rng.standard_normal((4, dim)) * 1.5 + 100.0
+        x0, y0 = x.copy(), y.copy()
+        want = closed_form_kernel(spec.family, x, y, variance, spec.lengthscale,
+                                  spec.degree, spec.support_radius)
+        got = scalar_kernel(spec, x, y)
+        assert np.array_equal(got, want)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+        if spec.family == "wendland":
+            assert np.any(got == 0.0) and np.any(got > 0.0)
+
+    @pytest.mark.parametrize("spec, covalue", [
+        (KernelSpec("matern52", lengthscale=0.9, variance=1.1), None),
+        (KernelSpec("se", lengthscale=0.8, variance=1.3), 1.7),
+        (KernelSpec("matern32", output_dim=2, coregionalization=MIX), [1.0, -0.5]),
+    ], ids=["q1", "q1-covalue", "q2-covalue"])
+    def test_metric_matrix_matches_einsum(self, spec, covalue):
+        x = np.random.default_rng(41).standard_normal((12, 2))
+        e = 1.0 if covalue is None else covalue
+        want = einsum_metric_matrix(cross_kernel(spec, x, x), e)
+        assert np.array_equal(metric_matrix(spec, x, covalue), want)
 
 
 class TestCoArrays:

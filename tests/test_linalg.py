@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
 
+from olskit.kernels import KernelSpec, gram
 from olskit.linalg import (
     NotPsdError,
     Tolerance,
+    _fix_eigvec_signs,
+    check_psd,
     pinv,
     psd_factor,
     range_projector,
     spectral_norm,
+    symmetrize,
 )
 
-from helpers import penrose_defects, power_iteration_norm, random_psd, random_rank
+from helpers import (
+    first_significant_positive,
+    penrose_defects,
+    power_iteration_norm,
+    random_psd,
+    random_rank,
+)
 
 
 class TestPinv:
@@ -76,6 +86,81 @@ class TestPsdFactor:
         rng = np.random.default_rng(11)
         k = random_psd(rng, 5)
         assert np.array_equal(psd_factor(k), psd_factor(k))
+
+    def test_sign_rule_matches_column_loop(self):
+        rng = np.random.default_rng(13)
+        vecs = rng.standard_normal((40, 12)) * rng.choice([-1.0, 1.0], 12)
+        vecs[:5, 1] = 0.0                   # leading exact zeros
+        vecs[:7, 2] = 1e-13 * vecs[:7, 2]   # leading entries below the cut
+        vecs[:, 3] = 0.0                    # no significant entry at all
+        vecs[:, 4] *= 1e6                   # cut relative to max|col| > 1
+        vecs[:9, 4] = 3e-7
+        vecs[0, 5] = -0.0
+        vecs[:, 6] = 1e-3 * np.abs(vecs[:, 6])  # cut is 1e-12 when max|col| < 1
+        vecs[:3, 6] = -2e-13
+        for v in (vecs, vecs[:, :0], np.linalg.qr(vecs)[0]):
+            assert np.array_equal(_fix_eigvec_signs(v), first_significant_positive(v))
+
+
+def _gate_accepts(k: np.ndarray) -> bool:
+    try:
+        check_psd(k)
+    except NotPsdError as err:
+        assert "eigenvalue" in str(err)
+        return False
+    return True
+
+
+class TestCheckPsd:
+    @pytest.mark.parametrize("n", [5, 50, 300])
+    def test_verdict_matches_eigenvalue_oracle(self, n):
+        # Q diag(lam) Q^T with one exact null direction and lambda_min 5 %
+        # inside or outside -floor; the verdict must be eigvalsh's
+        for seed in range(40):
+            rng = np.random.default_rng([seed, n])
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            spread = 10.0 ** rng.uniform(-8.0, 0.0, n - 2)
+            for scale in (1e-3, 1.0, 1e6):
+                base = np.concatenate([[0.0, 0.0], scale * spread])
+                floor = 1e-10 * max(1.0, float(np.abs((q * base) @ q.T).max()))
+                for factor, inside in ((0.95, True), (1.05, False)):
+                    lam = base.copy()
+                    lam[0] = -factor * floor
+                    k = symmetrize((q * lam) @ q.T)
+                    gate_floor = 1e-10 * max(1.0, float(np.abs(k).max()))
+                    oracle = float(np.linalg.eigvalsh(k)[0]) >= -gate_floor
+                    assert oracle == inside, (seed, scale, factor)
+                    assert _gate_accepts(k) == oracle, (seed, scale, factor)
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("linear"),
+        KernelSpec("polynomial", degree=3),
+        KernelSpec("se", lengthscale=2.0),
+    ], ids=lambda spec: spec.family)
+    def test_singular_gram_passes_without_eigensolve(self, spec, monkeypatch):
+        pts = np.random.default_rng(7).uniform(-1.0, 1.0, (300, 2))
+        k = gram(spec, pts)
+        assert np.linalg.matrix_rank(k) < 300
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        gate = check_psd(k)
+        assert gate.values is None and gate.matrix is k
+
+    def test_near_symmetric_input_is_symmetrized(self):
+        k = np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]])
+        gate = check_psd(k)
+        assert np.array_equal(gate.matrix, symmetrize(k))
+        assert np.array_equal(gate.matrix, gate.matrix.T)
+
+    def test_values_requested_are_ascending_eigenvalues(self):
+        k = np.diag([3.0, 1.0, 2.0])
+        gate = check_psd(k, values=True)
+        assert np.array_equal(gate.values, [1.0, 2.0, 3.0])
+        assert gate.vectors is None
 
 
 class TestSpectralNorm:
