@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, as_points, gram
+from .kernels import KernelSpec, _locate, as_points, gram
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, matrix_rank
 from .model import FiniteModel, ObservationMap, OlsEstimator, ols_build, ols_estimate
 
@@ -61,11 +61,7 @@ class ArrayDesign:
 
     def locate(self, point) -> int:
         """Exact-match position of an index point within the design."""
-        target = np.atleast_1d(np.asarray(point, dtype=float))
-        hits = np.flatnonzero(np.all(self.index_points == target[None, :], axis=1))
-        if hits.size == 0:
-            raise ValueError(f"point {target.tolist()} is not a design point")
-        return int(hits[0])
+        return _locate(point, self.index_points, "is not a design point")
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def _as_int(value, path: str, minimum: int) -> int:
     return value
 
 
-def config_from_dict(raw: dict, source: str = "<config>") -> Config:
+def config_from_dict(raw: dict) -> Config:
     _require(isinstance(raw, dict), "", "config root must be a JSON object")
     known = {"kernel", "seed", "tolerances", "samples", *(_BLOCK_DEFAULTS)}
     for key in raw:
@@ -221,8 +221,7 @@ def config_from_dict(raw: dict, source: str = "<config>") -> Config:
     for name, defaults in _BLOCK_DEFAULTS.items():
         block = dict(defaults)
         for key, value in raw.get(name, {}).items():
-            _require(key in defaults or name == "verify",
-                     f"{name}.{key}", "unknown field")
+            _require(key in defaults, f"{name}.{key}", "unknown field")
             block[key] = value
         blocks[name] = block
     _require(isinstance(blocks["krige"]["project"], bool), "krige.project",
@@ -250,7 +249,7 @@ def parse_config(path: str) -> Config:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw, source=path)
+    return config_from_dict(raw)
 
 
 def serialize_config(config: Config) -> str:

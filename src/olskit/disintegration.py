@@ -8,6 +8,10 @@ general measure the construction disintegrates its *convolution measure*
 instead, and agreement with the original measure characterizes the
 "uncorrelated implies independent" class; a four-atom discrete measure
 provides an exact counterexample, enumerated here without Monte Carlo.
+
+The sampler, the convolution and the disintegration audit share one lift
+est(G v), one residual factor (so the audit checks the sampler conditioning
+ships) and one atom table, which adds up points equal to 12 decimals.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .model import (
     _obs_matrix,
     ols_build,
     ols_estimate,
+    sample,
 )
 
 _ATOM_DECIMALS = 12
@@ -73,11 +78,21 @@ class DiscreteMeasure:
         return float(self.probs @ s(self.points))
 
 
-def _merge_atoms(probs, points) -> DiscreteMeasure:
+def _atom_key(point) -> tuple:
+    return tuple(np.round(point, _ATOM_DECIMALS))
+
+
+def _atom_table(probs, points) -> dict[tuple, float]:
+    """Mass per atom, in order of first appearance; repeated atoms add up."""
     table: dict[tuple, float] = {}
     for pr, pt in zip(probs, points):
-        key = tuple(np.round(pt, _ATOM_DECIMALS))
+        key = _atom_key(pt)
         table[key] = table.get(key, 0.0) + float(pr)
+    return table
+
+
+def _merge_atoms(probs, points) -> DiscreteMeasure:
+    table = _atom_table(probs, points)
     keys = sorted(table)
     return DiscreteMeasure(
         np.array([table[k] for k in keys]),
@@ -96,8 +111,8 @@ class ConditionalModel:
     tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self) -> None:
-        g = self.estimator.obs
-        fiber = float(np.linalg.norm(g @ self.residual_cov @ g.T))
+        obs = self.estimator.obs
+        fiber = float(np.linalg.norm(obs @ self.residual_cov @ obs.T))
         scale = max(1.0, float(np.abs(self.residual_cov).max())) if self.residual_cov.size else 1.0
         if fiber > 1e-8 * scale:
             raise NumericalError(
@@ -133,8 +148,7 @@ def residual_model(model: FiniteModel, est: OlsEstimator) -> FiniteModel:
 def conditional_gaussian(model: FiniteModel, obs, y,
                          project: bool = False) -> ConditionalModel:
     """Gaussian conditional law at data y: mean est(y), covariance R K."""
-    g = _obs_matrix(obs, model.n)
-    est = ols_build(model, g)
+    est = ols_build(model, obs)
     mean = ols_estimate(est, y, project=project)
     rcov = symmetrize(est.resid @ model.cov)
     return ConditionalModel(
@@ -146,27 +160,32 @@ def conditional_gaussian(model: FiniteModel, obs, y,
     )
 
 
-def stochastic_ols_sample(cond: ConditionalModel, seed: int,
-                          n_samples: int) -> np.ndarray:
-    """Seeded draws from the conditional law; every row lies on the fiber.
+def _residual_factor(est: OlsEstimator, rcov: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Factor R F of the residual covariance R K, with F its PSD factor.
 
-    The PSD factor of the residual covariance is re-projected through the
-    residual operator (a no-op in exact arithmetic, since R annihilates
-    nothing of range(R K)), which pins the samples to the fiber at rounding
-    level instead of PSD-clipping level.
+    Re-projecting F through R is a no-op in exact arithmetic (R annihilates
+    nothing of range(R K)); it pins draws to the fiber at rounding level
+    instead of PSD-clipping level.
     """
     try:
-        factor = psd_factor(cond.residual_cov, cond.tol)
+        factor = psd_factor(rcov, tol)
     except NotPsdError as exc:
         raise NumericalError(f"residual covariance is not PSD: {exc}") from exc
-    f = cond.estimator.resid @ factor
+    return est.resid @ factor
+
+
+def stochastic_ols_sample(cond: ConditionalModel, seed: int,
+                          n_samples: int) -> np.ndarray:
+    """Seeded draws from the conditional law; every row lies on the fiber."""
+    f = _residual_factor(cond.estimator, cond.residual_cov, cond.tol)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n_samples), cond.mean.size))
     return cond.mean[None, :] + z @ f.T
 
 
-def _affine_batch(est: OlsEstimator, ys: np.ndarray) -> np.ndarray:
-    return est.mean[None, :] + (ys - est.data_mean[None, :]) @ est.gain.T
+def _lift(est: OlsEstimator, v: np.ndarray) -> np.ndarray:
+    """Row-wise est(G v) through the map the estimator was built from."""
+    return est.mean[None, :] + (v @ est.obs.T - est.data_mean[None, :]) @ est.gain.T
 
 
 def convolution_sample(model: FiniteModel, obs, est: OlsEstimator,
@@ -174,19 +193,17 @@ def convolution_sample(model: FiniteModel, obs, est: OlsEstimator,
     """Draws from the convolution measure est(G v1) + (v2 - est(G v2)).
 
     v1 and v2 are independent model draws taken from a single seeded
-    stream, so results are reproducible for a given seed.
+    stream, so results are reproducible for a given seed.  ``est`` must
+    have been built from ``model`` and ``obs``.
     """
     g = _obs_matrix(obs, model.n)
     _check_built_from(model, est)
+    if not np.array_equal(g, est.obs):
+        raise ValueError("estimator was not built from this observation map")
     n = int(n_samples)
-    f = psd_factor(model.cov, model.tol)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2 * n, model.n))
-    draws = model.mean[None, :] + z @ f.T
+    draws = sample(model, seed, 2 * n)
     v1, v2 = draws[:n], draws[n:]
-    lifted = _affine_batch(est, v1 @ g.T)
-    residual = v2 - _affine_batch(est, v2 @ g.T)
-    return lifted + residual
+    return _lift(est, v1) + (v2 - _lift(est, v2))
 
 
 def default_test_functions(n: int, seed: int = 0, n_random: int = 5):
@@ -196,25 +213,16 @@ def default_test_functions(n: int, seed: int = 0, n_random: int = 5):
     Each entry is (name, callable) with the callable vectorized over rows.
     """
     funcs: list[tuple[str, object]] = [("const", lambda v: np.ones(v.shape[0]))]
-
-    def coord(i):
-        return lambda v: v[:, i]
-
-    def prod(i, j):
-        return lambda v: v[:, i] * v[:, j]
-
     for i in range(n):
-        funcs.append((f"coord_{i}", coord(i)))
+        funcs.append((f"coord_{i}", lambda v, i=i: v[:, i]))
     for i in range(n):
         for j in range(i, n):
-            funcs.append((f"prod_{i}_{j}", prod(i, j)))
+            funcs.append((f"prod_{i}_{j}", lambda v, i=i, j=j: v[:, i] * v[:, j]))
     rng = np.random.default_rng(seed)
     for k in range(n_random):
         w = rng.standard_normal(n)
         b = rng.standard_normal()
-        funcs.append(
-            (f"tanh_{k}", (lambda w, b: lambda v: np.tanh(v @ w + b))(w, b))
-        )
+        funcs.append((f"tanh_{k}", lambda v, w=w, b=b: np.tanh(v @ w + b)))
     return funcs
 
 
@@ -283,36 +291,34 @@ def disintegration_check(measure, obs, test_functions=None, seed: int = 0,
     if not isinstance(measure, FiniteModel):
         raise TypeError("measure must be a FiniteModel or DiscreteMeasure")
     model = measure
-    g = _obs_matrix(obs, model.n)
     if test_functions is None:
         test_functions = default_test_functions(model.n, seed=seed)
     n = int(n_samples)
-    est = ols_build(model, g)
+    est = ols_build(model, obs)
     f = psd_factor(model.cov, model.tol)
-    fres = psd_factor(symmetrize(est.resid @ model.cov), model.tol)
+    fres = _residual_factor(est, symmetrize(est.resid @ model.cov), model.tol)
     rng = np.random.default_rng(seed)
     direct = model.mean[None, :] + rng.standard_normal((n, model.n)) @ f.T
-    data = (model.mean[None, :] + rng.standard_normal((n, model.n)) @ f.T) @ g.T
-    conditional = _affine_batch(est, data) + rng.standard_normal((n, model.n)) @ fres.T
+    source = model.mean[None, :] + rng.standard_normal((n, model.n)) @ f.T
+    conditional = _lift(est, source) + rng.standard_normal((n, model.n)) @ fres.T
     return DisintegrationReport.paired_monte_carlo(test_functions, direct, conditional)
 
 
 def discrete_ols(measure: DiscreteMeasure, obs) -> OlsEstimator:
     """Least-squares estimator for the mean and covariance of a discrete law."""
     model = FiniteModel(measure.mean(), measure.cov(), label="discrete")
-    return ols_build(model, _obs_matrix(obs, measure.n))
+    return ols_build(model, obs)
 
 
 def discrete_convolution(measure: DiscreteMeasure, obs) -> DiscreteMeasure:
     """Exact OLS convolution measure of a discrete law, atom by atom."""
-    g = _obs_matrix(obs, measure.n)
-    est = discrete_ols(measure, g)
+    est = discrete_ols(measure, obs)
     k = measure.probs.size
     if k * k > _MAX_ENUMERATED_ATOMS:
         raise ValueError(
             f"enumeration needs {k * k} atoms, above the {_MAX_ENUMERATED_ATOMS} cap"
         )
-    lifted = _affine_batch(est, measure.points @ g.T)
+    lifted = _lift(est, measure.points)
     residual = measure.points - lifted
     probs = np.outer(measure.probs, measure.probs).ravel()
     points = (lifted[:, None, :] + residual[None, :, :]).reshape(k * k, measure.n)
@@ -320,14 +326,9 @@ def discrete_convolution(measure: DiscreteMeasure, obs) -> DiscreteMeasure:
 
 
 def total_variation(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
-    """Exact total-variation distance between two discrete measures."""
-    table: dict[tuple, float] = {}
-    for pr, pt in zip(a.probs, a.points):
-        table[tuple(np.round(pt, _ATOM_DECIMALS))] = float(pr)
-    for pr, pt in zip(b.probs, b.points):
-        key = tuple(np.round(pt, _ATOM_DECIMALS))
-        table[key] = table.get(key, 0.0) - float(pr)
-    return 0.5 * sum(abs(v) for v in table.values())
+    """Exact total-variation distance; repeated atoms add up before comparing."""
+    ta, tb = _atom_table(a.probs, a.points), _atom_table(b.probs, b.points)
+    return 0.5 * sum(abs(ta.get(k, 0.0) - tb.get(k, 0.0)) for k in {**ta, **tb})
 
 
 def _disintegration_check_discrete(measure: DiscreteMeasure, obs,
@@ -354,8 +355,7 @@ def _disintegration_check_discrete_mc(measure: DiscreteMeasure, obs,
                                       test_functions, seed: int,
                                       n_samples: int) -> DisintegrationReport:
     """Sampled comparison for discrete laws too large to enumerate."""
-    g = _obs_matrix(obs, measure.n)
-    est = discrete_ols(measure, g)
+    est = discrete_ols(measure, obs)
     if test_functions is None:
         test_functions = default_test_functions(measure.n, seed=seed, n_random=0)
     n = int(n_samples)
@@ -363,9 +363,8 @@ def _disintegration_check_discrete_mc(measure: DiscreteMeasure, obs,
     direct = measure.points[rng.choice(measure.probs.size, n, p=measure.probs)]
     i = rng.choice(measure.probs.size, n, p=measure.probs)
     j = rng.choice(measure.probs.size, n, p=measure.probs)
-    lifted = _affine_batch(est, measure.points[i] @ g.T)
-    residual = measure.points[j] - _affine_batch(est, measure.points[j] @ g.T)
-    conv = lifted + residual
+    lifted = _lift(est, measure.points[i])
+    conv = lifted + (measure.points[j] - _lift(est, measure.points[j]))
     return DisintegrationReport.paired_monte_carlo(test_functions, direct, conv)
 
 
@@ -387,8 +386,7 @@ def uii_counterexample():
     forbidden = np.array([1.0, 1.0])
 
     def mass_at(m: DiscreteMeasure, point: np.ndarray) -> float:
-        hits = np.all(np.isclose(m.points, point[None, :], atol=1e-12), axis=1)
-        return float(m.probs[hits].sum())
+        return _atom_table(m.probs, m.points).get(_atom_key(point), 0.0)
 
     coord_cov = float(measure.cov()[0, 1])
     report = {

@@ -322,10 +322,12 @@ class IndexedDataset:
             object.__setattr__(self, "values", v)
 
 
-def _locate(point: np.ndarray, table: np.ndarray) -> int:
-    hits = np.flatnonzero(np.all(table == point[None, :], axis=1))
+def _locate(point, table: np.ndarray, missing: str) -> int:
+    """Exact-match row of ``point`` in ``table``; ``missing`` ends the error."""
+    target = np.atleast_1d(np.asarray(point, dtype=float))
+    hits = np.flatnonzero(np.all(table == target[None, :], axis=1))
     if hits.size == 0:
-        raise ValueError(f"point {point.tolist()} not present in dataset")
+        raise ValueError(f"point {target.tolist()} {missing}")
     return int(hits[0])
 
 
@@ -338,7 +340,7 @@ def coarray_apply(phi: CoArray, dataset: IndexedDataset) -> float:
         raise ValueError("dataset has no values to apply the co-array to")
     total = 0.0
     for w, p in zip(phi.weights, phi.points):
-        idx = _locate(p, dataset.points)
+        idx = _locate(p, dataset.points, "not present in dataset")
         total += float(w @ dataset.values[idx])
     return total
 

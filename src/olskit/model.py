@@ -144,20 +144,18 @@ def pushforward(model: FiniteModel, obs) -> FiniteModel:
     )
 
 
-def ols_build(model: FiniteModel, obs, tol: Tolerance | None = None,
-              ridge: float = 0.0) -> OlsEstimator:
+def ols_build(model: FiniteModel, obs, ridge: float = 0.0) -> OlsEstimator:
     """Assemble the least-squares estimator matrices.
 
     ``ridge`` adds a multiple of the identity to S = G K G^T before the
     pseudoinverse; kriging uses it for ill-conditioned observed blocks.
     """
-    tol = model.tol if tol is None else tol
     g = _obs_matrix(obs, model.n)
     s = symmetrize(g @ model.cov @ g.T)
     if ridge:
         s = s + ridge * np.eye(s.shape[0])
-    gain = model.cov @ g.T @ pinv(s, tol)
-    p_range = range_projector(s, tol)
+    gain = model.cov @ g.T @ pinv(s, model.tol)
+    p_range = range_projector(s, model.tol)
     lift = gain @ g
     return OlsEstimator(
         gain=gain,
@@ -167,7 +165,7 @@ def ols_build(model: FiniteModel, obs, tol: Tolerance | None = None,
         mean=model.mean.copy(),
         data_mean=g @ model.mean,
         obs=g,
-        tol=tol,
+        tol=model.tol,
     )
 
 
@@ -261,10 +259,14 @@ def risk(model: FiniteModel, obs, gain_any, f, offset=None) -> RiskReport:
 
     and stays at rounding level for any valid input.
     """
-    g = _obs_matrix(obs, model.n)
+    return _risk(model, ols_build(model, obs), gain_any, f, offset)
+
+
+def _risk(model: FiniteModel, est: OlsEstimator, gain_any, f, offset=None) -> RiskReport:
+    """Body of ``risk``, given the least-squares estimator built from model."""
+    g = est.obs
     gain_any = as_matrix(gain_any, "estimator matrix")
     f = as_vector(f, "functional")
-    est = ols_build(model, g)
     _check_right_inverse(g, gain_any, est.p_range)
 
     lift_any = gain_any @ g
@@ -355,18 +357,18 @@ def gmt_compare(model: FiniteModel, obs, f, alternatives,
     argument actually controls; it equals ``mse_slack`` up to rounding and
     is nonnegative for every right inverse.
     """
-    g = _obs_matrix(obs, model.n)
     f = as_vector(f, "functional")
-    est = ols_build(model, g)
-    base = risk(model, g, est.gain, f)
+    est = ols_build(model, obs)
+    s = est.obs @ model.cov @ est.obs.T
+    base = _risk(model, est, est.gain, f)
     rows = []
     if offsets is None:
         offsets = [None] * len(alternatives)
     for gain_alt, off in zip(alternatives, offsets):
-        rep = risk(model, g, gain_alt, f, offset=off)
+        rep = _risk(model, est, gain_alt, f, offset=off)
         gain_alt = as_matrix(gain_alt, "estimator matrix")
         diff = (gain_alt - est.gain).T @ f
-        excess = float(diff @ (g @ model.cov @ g.T) @ diff)
+        excess = float(diff @ s @ diff)
         adjoint_gap = float(np.linalg.norm(diff))
         scale = max(1.0, float(np.linalg.norm(est.gain.T @ f)))
         rows.append(GmtRow(

@@ -67,6 +67,7 @@ class TestConfig:
         ("svm", "max_iter", 0),
         ("svm", "max_iter", 2.7),
         ("fuzzy", "prior", "0.5"),
+        ("verify", "n_models", 1),
     ])
     def test_malformed_block_field_is_input_error(self, tmp_path, capsys,
                                                   block, key, value):

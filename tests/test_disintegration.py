@@ -13,7 +13,9 @@ from olskit.disintegration import (
     total_variation,
     uii_counterexample,
 )
-from olskit.linalg import psd_factor
+from olskit.arrays import ArrayDesign, model_from_design, restriction_map
+from olskit.kernels import KernelSpec
+from olskit.linalg import NumericalError, psd_factor
 from olskit.model import FiniteModel, ols_build, sample
 
 from helpers import mc_mean_cov, random_psd
@@ -204,6 +206,13 @@ class TestConvolution:
         se_cov = 4.0 * np.sqrt((np.outer(sd**2, sd**2) + model.cov**2) / n)
         assert np.all(np.abs(cov - model.cov) < se_cov)
 
+    def test_estimator_from_another_map_rejected(self):
+        rng = np.random.default_rng(16)
+        model = FiniteModel(rng.standard_normal(3), random_psd(rng, 3))
+        est = ols_build(model, rng.standard_normal((1, 3)))
+        with pytest.raises(ValueError, match="observation map"):
+            convolution_sample(model, rng.standard_normal((1, 3)), est, 0, 10)
+
 
 class TestDisintegrationCheck:
     def test_constant_function_exact(self):
@@ -236,6 +245,21 @@ class TestDisintegrationCheck:
         assert report.exact
         assert not report.passed
         assert abs(report.rows[0].difference + 1.0 / 16.0) < 1e-15
+
+    def test_gaussian_check_shares_the_conditioning_residual_factor(self):
+        # 400 sorted uniform points on [0, 10], Matern-5/2 with lengthscale
+        # 0.5, every 4th observed, queries first: the residual covariance
+        # that conditioning factors is not PSD, so the check fails the same
+        # numerical way before it draws anything.
+        x = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, 400))
+        points = np.concatenate([np.delete(x, np.arange(0, 400, 4)), x[::4]])
+        design = ArrayDesign(points[:, None], KernelSpec("matern52", lengthscale=0.5))
+        obs = restriction_map(design, range(300, 400))
+        with pytest.raises(NumericalError, match="residual covariance is not PSD"):
+            disintegration_check(
+                model_from_design(design), obs,
+                [("const", lambda v: np.ones(v.shape[0]))], n_samples=10,
+            )
 
 
 class TestLargeDiscreteFallback:
@@ -295,6 +319,15 @@ class TestUiiCounterexample:
         conv = discrete_convolution(measure, obs)
         assert total_variation(measure, conv) == total_variation(conv, measure)
         assert total_variation(measure, measure) == 0.0
+
+    @pytest.mark.parametrize("a, b", [
+        (([0.5, 0.5], [[0.0], [0.0]]), ([1.0], [[0.0]])),
+        (([0.25, 0.25, 0.5], [[1.0], [1.0], [2.0]]), ([0.5, 0.5], [[1.0], [2.0]])),
+    ])
+    def test_total_variation_adds_repeated_atoms(self, a, b):
+        a, b = DiscreteMeasure(*a), DiscreteMeasure(*b)
+        assert total_variation(a, b) == 0.0
+        assert total_variation(b, a) == 0.0
 
 
 class TestDiscreteMeasure:
