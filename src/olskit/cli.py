@@ -22,10 +22,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -56,6 +58,21 @@ class CsvError(ValueError):
 # canonical JSON
 # ---------------------------------------------------------------------------
 
+_NON_FINITE = "reports must not contain non-finite numbers"
+
+
+def _float_rows(rows: np.ndarray) -> list[str]:
+    """Rows of a 2-d array as ``%.17g`` cells joined by commas.
+
+    One ``"%.17g,...,%.17g"`` template serves every row; ``%`` and
+    ``format(x, ".17g")`` share CPython's correctly rounded conversion, so
+    the text is the same as formatting cell by cell.  Each row is turned
+    into Python floats on its own: ``rows.tolist()`` would hold every cell
+    of a large table as a Python float at once and raise peak RSS.
+    """
+    template = ",".join(["%.17g"] * rows.shape[1])
+    return [template % tuple(row.tolist()) for row in rows]
+
 
 def _canonical(value) -> str:
     if isinstance(value, dict):
@@ -71,12 +88,18 @@ def _canonical(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         v = float(value)
-        if not np.isfinite(v):
-            raise ValueError("reports must not contain non-finite numbers")
+        if not math.isfinite(v):
+            raise ValueError(_NON_FINITE)
         return format(v, ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.ndim in (1, 2):
+            if not np.isfinite(value).all():
+                raise ValueError(_NON_FINITE)
+            rows = _float_rows(np.atleast_2d(value))
+            body = ",".join(["[" + row + "]" for row in rows])
+            return body if value.ndim == 1 else "[" + body + "]"
         return _canonical(value.tolist())
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -289,34 +312,45 @@ def load_csv(path: str, d: int | None = None, q: int | None = None) -> IndexedDa
         raise CsvError(f"{path} row 1: expected {d} index columns, found {n_i}")
     if q is not None and n_v not in (0, q):
         raise CsvError(f"{path} row 1: expected {q} value columns, found {n_v}")
-    points, values = [], []
-    for row_no, line in enumerate(lines[1:], start=2):
-        cells = [tok.strip() for tok in line.split(",")]
-        if len(cells) != len(header):
-            raise CsvError(
-                f"{path} row {row_no}: expected {len(header)} cells, got {len(cells)}"
-            )
-        parsed = []
-        for col_no, cell in enumerate(cells, start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError as exc:
-                raise CsvError(
-                    f"{path} row {row_no} column {col_no}: non-numeric cell {cell!r}"
-                ) from exc
-        points.append(parsed[:n_i])
-        values.append(parsed[n_i:])
+    width = len(header)
+    rows = [line.split(",") for line in lines[1:]]
+    try:
+        if any(len(cells) != width for cells in rows):
+            raise ValueError("ragged row")
+        table = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float,
+                            count=len(rows) * width)
+    except ValueError:
+        _raise_first_bad_row(path, rows, width)
+        raise
     # reshape keeps the header's widths when the file has no data rows
-    pts = np.array(points, dtype=float).reshape(len(points), n_i)
-    vals = np.array(values, dtype=float).reshape(len(values), n_v) if n_v else None
+    table = table.reshape(len(rows), width)
+    pts = table[:, :n_i].copy()
+    vals = table[:, n_i:].copy() if n_v else None
     return IndexedDataset(pts, vals)
 
 
+def _raise_first_bad_row(path: str, rows: list[list[str]], width: int) -> None:
+    """Raise the CsvError of the first malformed data row, in file order.
+
+    Within a row the width is checked before the cells, left to right.
+    """
+    for row_no, cells in enumerate(rows, start=2):
+        if len(cells) != width:
+            raise CsvError(
+                f"{path} row {row_no}: expected {width} cells, got {len(cells)}"
+            )
+        for col_no, cell in enumerate(cells, start=1):
+            try:
+                float(cell)
+            except ValueError as exc:
+                raise CsvError(
+                    f"{path} row {row_no} column {col_no}: "
+                    f"non-numeric cell {cell.strip()!r}"
+                ) from exc
+
+
 def _format_csv(header: list[str], rows: np.ndarray) -> str:
-    out = [",".join(header)]
-    for row in np.atleast_2d(rows):
-        out.append(",".join(format(float(x), ".17g") for x in row))
-    return "\n".join(out) + "\n"
+    return "\n".join([",".join(header), *_float_rows(np.atleast_2d(rows))]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -120,26 +120,36 @@ class ConditionalModel:
             )
 
 
-def _check_built_from(model: FiniteModel, est: OlsEstimator) -> None:
+def _check_built_from(model: FiniteModel, est: OlsEstimator) -> np.ndarray:
+    """Reject an estimator built from another model; returns R K.
+
+    Besides ``n`` and the mean, checks R K = K R^T at
+    1e-8 max(1, max|K|): the residual map R is self-adjoint in the inner
+    product of the covariance K it was built from, and not in general in
+    another one with the same mean.
+    """
     if est.n != model.n or not np.array_equal(est.mean, model.mean):
         raise ValueError("estimator was not built from this model")
+    rk = est.resid @ model.cov
+    if float(np.abs(rk - rk.T).max()) > 1e-8 * _cov_scale(model):
+        raise ValueError("estimator was not built from this model: R K != K R^T")
+    return rk
+
+
+def _cov_scale(model: FiniteModel) -> float:
+    return max(1.0, float(np.abs(model.cov).max()))
 
 
 def residual_model(model: FiniteModel, est: OlsEstimator) -> FiniteModel:
     """Law of v - est(G v): centered residual with covariance R K R^T.
 
     Verifies the lifted-projection identities R K R^T = R K = K R^T before
-    returning; these hold exactly for the least-squares estimator.
+    returning; these hold exactly for the least-squares estimator.  The
+    second one is ``_check_built_from``'s.
     """
-    _check_built_from(model, est)
-    k = model.cov
-    rk = est.resid @ k
+    rk = _check_built_from(model, est)
     rkr = rk @ est.resid.T
-    scale = max(1.0, float(np.abs(k).max()))
-    if (
-        float(np.abs(rkr - rk).max()) > 1e-8 * scale
-        or float(np.abs(rk - rk.T).max()) > 1e-8 * scale
-    ):
+    if float(np.abs(rkr - rk).max()) > 1e-8 * _cov_scale(model):
         raise ValueError("residual identities R K R^T = R K = K R^T fail")
     mean = model.mean - ols_estimate(est, est.data_mean)
     return FiniteModel(mean, symmetrize(rkr), label="residual", tol=model.tol)

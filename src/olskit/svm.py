@@ -118,11 +118,11 @@ def _support_solve(q: np.ndarray, a: np.ndarray, n1: int) -> np.ndarray:
     """
     m, m1 = a.size, int(np.searchsorted(a, n1))
     qa = q[np.ix_(a, a)]
-    c = np.zeros((2, m))
-    c[0, :m1] = 1.0
-    c[1, m1:] = 1.0
     scale = max(1.0, float(np.abs(qa).max()))
-    kkt = np.block([[2.0 * qa / scale, c.T], [c, np.zeros((2, 2))]])
+    kkt = np.zeros((m + 2, m + 2))
+    kkt[:m, :m] = 2.0 * qa / scale
+    kkt[m, :m1] = kkt[:m1, m] = 1.0
+    kkt[m + 1, m1:m] = kkt[m1:m, m + 1] = 1.0
     rhs = np.concatenate([np.zeros(m), [1.0, 1.0]])
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     return sol[:m]

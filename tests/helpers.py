@@ -10,6 +10,7 @@ values computed by these oracles.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -247,3 +248,50 @@ def first_significant_positive(vecs: np.ndarray) -> np.ndarray:
         if nz.size and col[nz[0]] < 0.0:
             out[:, j] = -col
     return out
+
+
+def format_csv_cellwise(header: list[str], rows: np.ndarray) -> str:
+    """CSV text with every cell formatted on its own by ``format(x, ".17g")``."""
+    out = [",".join(header)]
+    for row in np.atleast_2d(rows):
+        out.append(",".join(format(float(x), ".17g") for x in row))
+    return "\n".join(out) + "\n"
+
+
+def canonical_json_cellwise(value) -> str:
+    """Canonical JSON built value by value: arrays go through ``tolist()``."""
+
+    def enc(v):
+        if isinstance(v, dict):
+            items = (f"{json.dumps(str(k))}:{enc(v[k])}" for k in sorted(v))
+            return "{" + ",".join(items) + "}"
+        if isinstance(v, (list, tuple)):
+            return "[" + ",".join(enc(x) for x in v) + "]"
+        if isinstance(v, (bool, np.bool_)) or v is None:
+            return json.dumps(bool(v) if v is not None else None)
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            if not np.isfinite(float(v)):
+                raise ValueError("reports must not contain non-finite numbers")
+            return format(float(v), ".17g")
+        if isinstance(v, str):
+            return json.dumps(v)
+        if isinstance(v, np.ndarray):
+            return enc(v.tolist())
+        raise TypeError(f"cannot serialize {type(v).__name__}")
+
+    return enc(value) + "\n"
+
+
+def support_solve_block(q: np.ndarray, a: np.ndarray, n1: int) -> np.ndarray:
+    """SVM support solve with the KKT matrix assembled by ``np.block``."""
+    m, m1 = a.size, int(np.searchsorted(a, n1))
+    qa = q[np.ix_(a, a)]
+    c = np.zeros((2, m))
+    c[0, :m1] = 1.0
+    c[1, m1:] = 1.0
+    scale = max(1.0, float(np.abs(qa).max()))
+    kkt = np.block([[2.0 * qa / scale, c.T], [c, np.zeros((2, 2))]])
+    rhs = np.concatenate([np.zeros(m), [1.0, 1.0]])
+    return np.linalg.lstsq(kkt, rhs, rcond=None)[0][:m]

@@ -5,10 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from olskit import kernels
+from olskit import cli, kernels
 from olskit.cli import (
     ConfigError,
     CsvError,
+    _format_csv,
+    canonical_json,
     config_from_dict,
     load_csv,
     main,
@@ -16,7 +18,7 @@ from olskit.cli import (
     serialize_config,
 )
 
-from helpers import blobs_2d
+from helpers import blobs_2d, canonical_json_cellwise, format_csv_cellwise
 
 MINIMAL = {"kernel": {"family": "se", "lengthscale": 1.0, "variance": 1.0}, "seed": 0}
 
@@ -146,8 +148,158 @@ class TestLoadCsv:
             load_csv(path, q=2)
 
 
+    def test_first_bad_row_wins(self, tmp_path):
+        # a bad cell in row 3 is reported before a ragged row 5, and the reverse
+        cell_first = write_csv(tmp_path / "a.csv",
+                               "i_1,v_1\n0,1\n1, x \n2,3\n4\n")
+        with pytest.raises(CsvError) as err:
+            load_csv(cell_first)
+        assert str(err.value) == f"{cell_first} row 3 column 2: non-numeric cell 'x'"
+        ragged_first = write_csv(tmp_path / "b.csv",
+                                 "i_1,v_1\n0,1\n1,2,3\n2,3\nx,4\n")
+        with pytest.raises(CsvError) as err:
+            load_csv(ragged_first)
+        assert str(err.value) == f"{ragged_first} row 3: expected 2 cells, got 3"
+
+    def test_width_checked_before_cells_within_a_row(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "i_1,v_1\n0,1\nx,y,z\n")
+        with pytest.raises(CsvError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path} row 3: expected 2 cells, got 3"
+
+    def test_blank_lines_do_not_count_as_rows(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "i_1,v_1\n\n0,1\n\n1,oops\n")
+        with pytest.raises(CsvError, match="row 3 column 2: non-numeric cell 'oops'"):
+            load_csv(path)
+
+    def test_padded_cells_parse(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "i_1 , v_1\n 0.5 ,\t-2e3 \r\n1,2\n")
+        data = load_csv(path)
+        assert np.array_equal(data.points, [[0.5], [1.0]])
+        assert np.array_equal(data.values, [[-2000.0], [2.0]])
+
+    def test_header_only_keeps_widths(self, tmp_path):
+        data = load_csv(write_csv(tmp_path / "d.csv", "i_1,i_2,v_1\n"))
+        assert data.points.shape == (0, 2)
+        assert data.values.shape == (0, 1)
+
+    def test_columns_are_contiguous_copies(self, tmp_path):
+        data = load_csv(write_csv(tmp_path / "d.csv", "i_1,i_2,v_1\n0,1,2\n3,4,5\n"))
+        assert data.points.flags.c_contiguous and data.values.flags.c_contiguous
+        assert not np.shares_memory(data.points, data.values)
+        assert np.array_equal(data.points, [[0.0, 1.0], [3.0, 4.0]])
+        assert np.array_equal(data.values, [[2.0], [5.0]])
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e300, -1e300,
+               float(2**53 + 1), 1e16, 0.1, -0.1, 1.0, -3.0, 2.0**52,
+               1.7976931348623157e308]
+
+
+def seeded_tables():
+    rng = np.random.default_rng(42)
+    for rows, cols in [(1, 1), (1, 7), (9, 1), (30, 12), (5, 120)]:
+        magnitude = 10.0 ** rng.uniform(-30, 30, (rows, cols))
+        yield rng.choice([-1.0, 1.0], (rows, cols)) * magnitude * rng.random((rows, cols))
+    yield rng.standard_normal((300, 4))
+    yield np.round(rng.standard_normal((6, 5)) * 1000)  # integer-valued floats
+
+
+class TestFloatFormatting:
+    """The row template writes the bytes of per-cell ``format(x, ".17g")``."""
+
+    def tables(self):
+        edge = np.array(EDGE_VALUES)
+        yield from seeded_tables()
+        yield edge[None, :]
+        yield edge[:, None]
+        yield edge.reshape(4, 4)
+        yield np.zeros((0, 3))
+        yield np.array([0.0, -0.0, 1e-45, -1e-40, 3.4e38, 0.1, 1.0, 2.0**24 + 1],
+                       dtype=np.float32).reshape(2, 4)
+        yield np.random.default_rng(3).standard_normal((7, 3)).astype(np.float32)
+
+    def test_csv_matches_cellwise(self):
+        for table in self.tables():
+            header = [f"c_{k}" for k in range(1, table.shape[1] + 1)]
+            assert _format_csv(header, table) == format_csv_cellwise(header, table)
+
+    def test_csv_of_vector_and_integers(self):
+        for rows in (np.array(EDGE_VALUES), np.array([2**53 + 1, -7, 0]),
+                     np.array([True, False])):
+            header = [f"c_{k}" for k in range(1, rows.size + 1)]
+            assert _format_csv(header, rows) == format_csv_cellwise(header, rows)
+
+    def test_json_matches_cellwise(self):
+        for table in self.tables():
+            for value in (table, table[0] if table.shape[0] else table[:, 0],
+                          {"b": table, "a": [table, 1.5], "n": 3}):
+                assert canonical_json(value) == canonical_json_cellwise(value)
+
+    def test_json_of_other_arrays_matches_cellwise(self):
+        for value in (np.arange(6).reshape(2, 3), np.array([True, False]),
+                      np.zeros((2, 2, 2)), np.array(2.5), np.zeros(0), np.zeros((3, 0))):
+            assert canonical_json(value) == canonical_json_cellwise(value)
+
+    def test_model_json_shape(self):
+        rng = np.random.default_rng(5)
+        value = {"kernel": {"family": "se", "lengthscale": 0.7, "support_radius": None},
+                 "nu0": rng.random(60), "nu1": rng.random(60),
+                 "points_0": rng.standard_normal((60, 2)),
+                 "points_1": rng.standard_normal((60, 2)),
+                 "rho": np.float64(0.25), "gap": 1e-13, "offset": -0.0}
+        assert canonical_json(value) == canonical_json_cellwise(value)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected_with_one_message(self, bad):
+        message = "^reports must not contain non-finite numbers$"
+        for value in (bad, np.float64(bad), np.array([1.0, bad]),
+                      np.array([[1.0, 2.0], [bad, 3.0]]), {"x": [0.5, bad]},
+                      np.array([bad], dtype=np.float32)):
+            with pytest.raises(ValueError, match=message):
+                canonical_json(value)
+
+
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+class TestCsvOutputsRoundTrip:
+    """Every CSV a command writes parses back bit for bit to its source array."""
+
+    @pytest.mark.parametrize("command", ["krige", "condition", "classify-svm",
+                                         "classify-fuzzy"])
+    def test_round_trip(self, tmp_path, monkeypatch, command):
+        d0, d1 = blobs_2d(1, n_per_class=8)
+        labelled = [(p, 0) for p in d0.tolist()] + [(p, 1) for p in d1.tolist()]
+        if command in ("krige", "condition"):
+            labelled = [(p, np.sin(p[0]) - p[1] / 3.0) for p, _ in labelled[::3]]
+        data = write_csv(tmp_path / "d.csv", "i_1,i_2,v_1\n" + "".join(
+            f"{a!r},{b!r},{float(v)!r}\n" for (a, b), v in labelled))
+        query = write_csv(tmp_path / "q.csv", "i_1,i_2\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in
+            np.random.default_rng(2).uniform(-2.0, 5.0, (7, 2)).tolist()))
+        config = write_config(tmp_path / "c.json", {"samples": 40})
+        written = []
+        format_csv = cli._format_csv
+
+        def recorded(header, rows):
+            text = format_csv(header, rows)
+            written.append((text, np.atleast_2d(rows).copy()))
+            return text
+
+        monkeypatch.setattr(cli, "_format_csv", recorded)
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", config, "--data", data,
+                        "--query", query, "--out", out]) == 0
+        files = sorted(out.glob("*.csv"))
+        assert sorted(f.read_text() for f in files) == sorted(text for text, _ in written)
+        for text, rows in written:
+            lines = text.splitlines()
+            assert len(lines) == rows.shape[0] + 1
+            parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+            assert parsed.shape == rows.shape
+            assert np.array_equal(parsed.view(np.int64), rows.view(np.int64))
 
 
 class TestKrigeCommand:

@@ -71,6 +71,15 @@ class TestResidualModel:
         with pytest.raises(ValueError, match="not built"):
             residual_model(other, est)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_mean_other_covariance_rejected(self, seed):
+        rng = np.random.default_rng(seed)
+        model = FiniteModel(np.zeros(3), random_psd(rng, 3))
+        other = FiniteModel(np.zeros(3), random_psd(rng, 3))
+        g = rng.standard_normal((1, 3))
+        with pytest.raises(ValueError, match="not built from this model"):
+            residual_model(other, ols_build(model, g))
+
 
 class TestConditionalGaussian:
     def test_identity_observation_point_mass(self):
@@ -205,6 +214,17 @@ class TestConvolution:
         assert np.all(np.abs(mean - model.mean) < 4.0 * sd / np.sqrt(n))
         se_cov = 4.0 * np.sqrt((np.outer(sd**2, sd**2) + model.cov**2) / n)
         assert np.all(np.abs(cov - model.cov) < se_cov)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_estimator_from_another_covariance_rejected(self, seed):
+        # same n and mean: only R K = K R^T tells the two covariances apart
+        rng = np.random.default_rng(seed)
+        a = FiniteModel(np.zeros(3), random_psd(rng, 3))
+        b = FiniteModel(np.zeros(3), random_psd(rng, 3))
+        g = rng.standard_normal((1, 3))
+        with pytest.raises(ValueError, match="not built from this model"):
+            convolution_sample(b, g, ols_build(a, g), 0, 10)
+        assert convolution_sample(b, g, ols_build(b, g), 0, 10).shape == (10, 3)
 
     def test_estimator_from_another_map_rejected(self):
         rng = np.random.default_rng(16)

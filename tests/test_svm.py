@@ -7,6 +7,7 @@ from olskit.kernels import KernelSpec, scalar_kernel
 from olskit.linalg import NotPsdError
 from olskit.svm import (
     ConvergenceError,
+    _support_solve,
     SeparationError,
     SvmModel,
     SvmProblem,
@@ -18,7 +19,7 @@ from olskit.svm import (
     xi_distance,
 )
 
-from helpers import blobs_2d, nearest_point_gap, svm_qp_oracle
+from helpers import blobs_2d, nearest_point_gap, support_solve_block, svm_qp_oracle
 
 LINEAR = KernelSpec("linear")
 SE = KernelSpec("se", lengthscale=1.5)
@@ -223,6 +224,25 @@ class TestFailureModes:
         spec = KernelSpec("se", output_dim=2)
         with pytest.raises(ValueError, match="scalar"):
             SvmProblem(spec, [[0.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_support_solve_matches_block_assembly(seed):
+    # the KKT matrix is filled in place, entry for entry the np.block one
+    rng = np.random.default_rng(seed)
+    d0, d1 = blobs_2d(seed, n_per_class=15)
+    spec = KernelSpec("polynomial", degree=3) if seed % 2 else SE
+    with warnings.catch_warnings():
+        # the cubic Gram has rank 10, so its support blocks can be singular
+        warnings.simplefilter("ignore", RuntimeWarning)
+        q = SvmProblem(spec, d0, d1).signed_gram
+    n1 = d1.shape[0]
+    for m in (2, 3, 7, 20):
+        a = np.sort(np.concatenate([
+            rng.choice(n1, m // 2, replace=False),
+            n1 + rng.choice(q.shape[0] - n1, m - m // 2, replace=False),
+        ]))
+        assert np.array_equal(_support_solve(q, a, n1), support_solve_block(q, a, n1))
 
 
 def overlapping_blobs(offset, n):
