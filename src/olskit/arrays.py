@@ -96,14 +96,19 @@ def _validate_subset(design: ArrayDesign, subset: Sequence[int]) -> list[int]:
     return idx
 
 
+def _value_columns(design: ArrayDesign, idx: list[int]) -> np.ndarray:
+    """Flat model coordinates of the values at design positions ``idx``."""
+    q = design.q
+    return (np.asarray(idx, dtype=int)[:, None] * q + np.arange(q)).ravel()
+
+
 def restriction_map(design: ArrayDesign, subset: Sequence[int]) -> ObservationMap:
     """Row-selection map evaluating an array at the given design positions."""
     idx = _validate_subset(design, subset)
-    q, n = design.q, design.n_points * design.q
-    g = np.zeros((len(idx) * q, n))
+    cols = _value_columns(design, idx)
+    g = np.zeros((cols.size, design.n_points * design.q))
     # row block r is the identity on column block idx[r]
-    cols = np.asarray(idx, dtype=int)[:, None] * q + np.arange(q)
-    g[np.arange(len(idx) * q), cols.ravel()] = 1.0
+    g[np.arange(cols.size), cols] = 1.0
     return ObservationMap(g)
 
 
@@ -164,7 +169,8 @@ def krige(design: ArrayDesign, observed: Sequence[int], values,
         # jitter only rescues blocks that are full rank at tolerance yet
         # ill conditioned; rank-deficient blocks keep the pseudoinverse
         # truncation so inconsistent data still raises a support violation
-        s = obs.matrix @ model.cov @ obs.matrix.T
+        cols = _value_columns(design, idx)
+        s = model.cov[np.ix_(cols, cols)]  # G K G^T, read by index
         w = np.linalg.eigvalsh(0.5 * (s + s.T))
         if matrix_rank(s, design.tol) == s.shape[0] and (
             w[0] <= 0.0 or w[-1] / w[0] > 1e12

@@ -20,6 +20,7 @@ files are written atomically (temp file plus rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -319,6 +320,8 @@ def load_csv(path: str, d: int | None = None, q: int | None = None) -> IndexedDa
             raise ValueError("ragged row")
         table = np.fromiter(map(float, chain.from_iterable(rows)), dtype=float,
                             count=len(rows) * width)
+        if not np.isfinite(table).all():
+            raise ValueError("non-finite cell")
     except ValueError:
         _raise_first_bad_row(path, rows, width)
         raise
@@ -332,7 +335,8 @@ def load_csv(path: str, d: int | None = None, q: int | None = None) -> IndexedDa
 def _raise_first_bad_row(path: str, rows: list[list[str]], width: int) -> None:
     """Raise the CsvError of the first malformed data row, in file order.
 
-    Within a row the width is checked before the cells, left to right.
+    Within a row the width is checked before the cells, left to right; a
+    cell is malformed when it is not a number or is ``nan`` or infinite.
     """
     for row_no, cells in enumerate(rows, start=2):
         if len(cells) != width:
@@ -341,12 +345,17 @@ def _raise_first_bad_row(path: str, rows: list[list[str]], width: int) -> None:
             )
         for col_no, cell in enumerate(cells, start=1):
             try:
-                float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise CsvError(
                     f"{path} row {row_no} column {col_no}: "
                     f"non-numeric cell {cell.strip()!r}"
                 ) from exc
+            if not math.isfinite(value):
+                raise CsvError(
+                    f"{path} row {row_no} column {col_no}: "
+                    f"non-finite cell {cell.strip()!r}"
+                )
 
 
 def _format_csv(header: list[str], rows: np.ndarray) -> str:
@@ -580,7 +589,9 @@ def run(command: str, config: Config, inputs: dict, out_dir: str,
     return report, 0 if passed else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="olskit",
         description="covariance-structured estimation: kriging, conditioning, "

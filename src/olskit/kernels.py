@@ -132,30 +132,95 @@ class KernelSpec:
         return self.coregionalization
 
 
-def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances, summed from explicit coordinate differences.
+_BLOCK = 1 << 15  # entries per row block of an (n, m) kernel pass, ~256 kB
+
+
+def _row_blocks(n: int, m: int) -> tuple[int, list[slice]]:
+    """Rows per block and the row slices of an (n, m) array, ~``_BLOCK`` entries each."""
+    step = max(1, _BLOCK // max(m, 1))
+    return min(step, n), [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _squared_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray,
+                       diff: np.ndarray) -> None:
+    """Pairwise squared distances into ``out``, summed from coordinate differences.
 
     |x|^2 + |y|^2 - 2 x.y cancels catastrophically away from the origin;
     differencing first keeps every digit the points themselves carry.
+    ``diff`` is scratch of ``out``'s shape.
     """
     if x.shape[1] == 0:
-        return np.zeros((x.shape[0], y.shape[0]))
-    d2 = np.subtract.outer(x[:, 0], y[:, 0])
-    np.square(d2, out=d2)
-    if x.shape[1] > 1:
-        diff = np.empty_like(d2)
-        for xc, yc in zip(x.T[1:], y.T[1:]):
-            np.subtract.outer(xc, yc, out=diff)
-            d2 += np.square(diff, out=diff)
-    return d2
+        out.fill(0.0)
+        return
+    np.subtract.outer(x[:, 0], y[:, 0], out=out)
+    np.square(out, out=out)
+    for xc, yc in zip(x.T[1:], y.T[1:]):
+        np.subtract.outer(xc, yc, out=diff)
+        out += np.square(diff, out=diff)
+
+
+def _stationary_block(spec: KernelSpec, out: np.ndarray, a: np.ndarray,
+                      b: np.ndarray) -> None:
+    """Turn squared distances in ``out`` into kernel values, in place.
+
+    ``a`` and ``b`` are scratch of ``out``'s shape.  Each family follows the
+    operation order of the closed form in its comment.
+    """
+    s2, ell = spec.variance, spec.lengthscale
+    if spec.family == "se":
+        # s2 * exp((-0.5 * d^2) / ell^2)
+        out *= -0.5
+        out /= ell * ell
+        np.exp(out, out=out)
+        out *= s2
+        return
+    np.sqrt(out, out=out)  # r
+    if spec.family == "matern12":
+        # s2 * exp(-r / ell)
+        np.negative(out, out=out)
+        out /= ell
+        np.exp(out, out=out)
+        out *= s2
+        return
+    if spec.family == "wendland":
+        # s2 * where(t < 1, (1 - t)^4 * (4 t + 1), 0) with t = r / R
+        out /= spec.support_radius
+        outside = out >= 1.0
+        np.subtract(1.0, out, out=a)
+        a **= 4
+        out *= 4.0
+        out += 1.0
+        out *= a
+        out[outside] = 0.0
+        out *= s2
+        return
+    # Matern-3/2: (s2 * (1 + z)) * exp(-z) with z = (sqrt(3) r) / ell;
+    # Matern-5/2: (s2 * ((1 + z) + (z z) / 3)) * exp(-z) with sqrt(5)
+    out *= np.sqrt(3.0 if spec.family == "matern32" else 5.0)
+    out /= ell
+    np.negative(out, out=a)
+    np.exp(a, out=a)
+    if spec.family == "matern52":
+        np.square(out, out=b)
+        b /= 3.0
+        out += 1.0
+        out += b
+    else:
+        out += 1.0
+    out *= s2
+    out *= a
 
 
 def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
     """Scalar kernel values between the rows of x and of y, as an (n, m) array.
 
-    Each family is evaluated in place, on at most three (n, m) buffers, in
-    the operation order of the closed form given in its comment, so every
-    value is bitwise the one that closed form gives.
+    Stationary families are evaluated in row blocks of about 2^15 entries,
+    straight into the one (n, m) output, with two block-sized scratch
+    buffers, so a pass stays in cache.  Every step is elementwise and keeps
+    the operation order of its family's closed form, so each value is
+    bitwise the one that closed form gives, whatever the block size.
+    Dot-product families take one ``x @ y.T`` product and finish it in
+    place.
     """
     x = as_points(x, "x")
     y = as_points(y, "y")
@@ -163,9 +228,10 @@ def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
         raise ValueError(
             f"index dimension mismatch: {x.shape[1]} vs {y.shape[1]}"
         )
-    s2, ell = spec.variance, spec.lengthscale
     if spec.family in _DOT_PRODUCT:
         # linear: s2 * (x.y / ell^2); polynomial: s2 * (1 + x.y / ell^2)^degree
+        # one product, not one per row block: a blocked matmul rounds differently
+        s2, ell = spec.variance, spec.lengthscale
         out = x @ y.T
         out /= ell * ell
         if spec.family == "polynomial":
@@ -175,49 +241,15 @@ def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
         return out
     if spec.family not in _STATIONARY:
         raise ValueError(f"scalar form undefined for family {spec.family!r}")
-    out = _squared_distances(x, y)
-    if spec.family == "se":
-        # s2 * exp((-0.5 * d^2) / ell^2)
-        out *= -0.5
-        out /= ell * ell
-        np.exp(out, out=out)
-        out *= s2
-        return out
-    np.sqrt(out, out=out)  # r
-    if spec.family == "matern12":
-        # s2 * exp(-r / ell)
-        np.negative(out, out=out)
-        out /= ell
-        np.exp(out, out=out)
-        out *= s2
-        return out
-    if spec.family == "wendland":
-        # s2 * where(t < 1, (1 - t)^4 * (4 t + 1), 0) with t = r / R
-        out /= spec.support_radius
-        outside = out >= 1.0
-        poly = np.subtract(1.0, out)
-        poly **= 4
-        out *= 4.0
-        out += 1.0
-        poly *= out
-        poly[outside] = 0.0
-        poly *= s2
-        return poly
-    # Matern-3/2: (s2 * (1 + z)) * exp(-z) with z = (sqrt(3) r) / ell;
-    # Matern-5/2: (s2 * ((1 + z) + (z z) / 3)) * exp(-z) with sqrt(5)
-    out *= np.sqrt(3.0 if spec.family == "matern32" else 5.0)
-    out /= ell
-    decay = np.negative(out)
-    np.exp(decay, out=decay)
-    if spec.family == "matern52":
-        zz = np.square(out)
-        zz /= 3.0
-        out += 1.0
-        out += zz
-    else:
-        out += 1.0
-    out *= s2
-    out *= decay
+    n, m = x.shape[0], y.shape[0]
+    rows_per_block, blocks = _row_blocks(n, m)
+    out = np.empty((n, m))
+    a, b = np.empty((rows_per_block, m)), np.empty((rows_per_block, m))
+    for rows in blocks:
+        blk = out[rows]
+        k = blk.shape[0]
+        _squared_distances(x[rows], y, blk, a[:k])
+        _stationary_block(spec, blk, a[:k], b[:k])
     return out
 
 
@@ -262,14 +294,15 @@ def cross_kernel(spec: KernelSpec, x, y) -> np.ndarray:
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Assemble the (n q) x (n q) Gram matrix over a point list.
 
-    The layout is ``cross_kernel``'s.  The result is symmetrized but not
-    checked for PSD-ness: ``FiniteModel`` is the one gate for a prior
-    covariance.
+    The layout is ``cross_kernel``'s.  An exactly symmetric kernel matrix
+    is returned as it is, any other is symmetrized; neither is checked for
+    PSD-ness: ``FiniteModel`` is the one gate for a prior covariance.
     """
     pts = as_points(points)
     if pts.shape[0] == 0:
         raise ValueError("gram requires at least one point")
-    return symmetrize(cross_kernel(spec, pts, pts))
+    k = cross_kernel(spec, pts, pts)
+    return k if np.array_equal(k, k.T) else symmetrize(k)
 
 
 @dataclass(frozen=True)
@@ -375,6 +408,11 @@ def metric_matrix(spec: KernelSpec, points, covalue=None) -> np.ndarray:
 
     For q > 1 a fixed co-value must be supplied to pull the metric back to
     index space; for q = 1 the unit co-value is implied.
+
+    With s the pulled-back kernel matrix, the distance is
+    sqrt(max((s_aa + s_bb) - 2 s_ab, 0)).  The diagonal is read first; then
+    each row block of s is overwritten with its distances, so the only
+    n x n array is s itself.
     """
     pts = as_points(points)
     if spec.q > 1 and covalue is None:
@@ -386,13 +424,18 @@ def metric_matrix(spec: KernelSpec, points, covalue=None) -> np.ndarray:
     else:
         e = np.atleast_1d(np.asarray(covalue, float))
         s = np.einsum("aibj,ij->ab", c.reshape(n, q, n, q), np.outer(e, e))
-    diag = np.diag(s)
-    # t = (diag_a + diag_b) - 2 s, built before s is overwritten
-    t = np.add.outer(diag, diag)
-    s *= 2.0
-    t -= s
-    np.maximum(t, 0.0, out=t)
-    return np.sqrt(t, out=t)
+    diag = s.diagonal().copy()
+    rows_per_block, blocks = _row_blocks(n, n)
+    t = np.empty((rows_per_block, n))
+    for rows in blocks:
+        blk = s[rows]
+        tb = t[:blk.shape[0]]
+        np.add.outer(diag[rows], diag, out=tb)
+        blk *= 2.0
+        np.subtract(tb, blk, out=blk)
+        np.maximum(blk, 0.0, out=blk)
+        np.sqrt(blk, out=blk)
+    return s
 
 
 def _lexicographic_start(points: np.ndarray) -> int:

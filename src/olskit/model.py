@@ -144,26 +144,63 @@ def pushforward(model: FiniteModel, obs) -> FiniteModel:
     )
 
 
+def _selected_columns(g: np.ndarray) -> np.ndarray | None:
+    """Columns picked by a selection map, or None for any other matrix.
+
+    A selection map has exactly one entry per row, a 1.0, in distinct
+    columns; G x is then x[cols].
+    """
+    p = g.shape[0]
+    # p nonzero entries in p distinct columns, one of them 1.0 in each row
+    if p == 0 or np.count_nonzero(g) != p or np.count_nonzero(g.any(axis=0)) != p:
+        return None
+    cols = g.argmax(axis=1)
+    return cols if np.all(g[np.arange(p), cols] == 1.0) else None
+
+
 def ols_build(model: FiniteModel, obs, ridge: float = 0.0) -> OlsEstimator:
     """Assemble the least-squares estimator matrices.
 
     ``ridge`` adds a multiple of the identity to S = G K G^T before the
     pseudoinverse; kriging uses it for ill-conditioned observed blocks.
+
+    A selection map (one 1.0 per row, in distinct columns, as
+    ``restriction_map`` builds) is applied by index: K G^T is the column
+    gather ``K.take(cols, axis=1)``, S its ``cols`` rows, G m is
+    ``m[cols]`` and L = B G scatters B into the ``cols`` columns.  Those
+    products only copy entries, so every matrix is bitwise the one the
+    dense products give; any other G goes through the dense products.
     """
     g = _obs_matrix(obs, model.n)
-    s = symmetrize(g @ model.cov @ g.T)
+    cols = _selected_columns(g)
+    if cols is None:
+        kg = model.cov @ g.T
+        s = symmetrize(g @ model.cov @ g.T)
+        data_mean = g @ model.mean
+    else:
+        # a C-ordered gather: K[:, cols] is Fortran-ordered, and the gain
+        # product would round differently on it
+        kg = model.cov.take(cols, axis=1)
+        s = kg[cols]  # exactly symmetric, as K is
+        data_mean = model.mean[cols]
     if ridge:
         s = s + ridge * np.eye(s.shape[0])
-    gain = model.cov @ g.T @ pinv(s, model.tol)
+    gain = kg @ pinv(s, model.tol)
     p_range = range_projector(s, model.tol)
-    lift = gain @ g
+    if cols is None:
+        lift = gain @ g
+    else:
+        lift = np.zeros((model.n, model.n))
+        lift[:, cols] = gain
+    resid = np.eye(model.n)
+    resid -= lift
     return OlsEstimator(
         gain=gain,
         p_range=p_range,
         lift=lift,
-        resid=np.eye(model.n) - lift,
+        resid=resid,
         mean=model.mean.copy(),
-        data_mean=g @ model.mean,
+        data_mean=data_mean,
         obs=g,
         tol=model.tol,
     )

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -177,6 +178,33 @@ class TestLoadCsv:
         data = load_csv(path)
         assert np.array_equal(data.points, [[0.5], [1.0]])
         assert np.array_equal(data.values, [[-2000.0], [2.0]])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 2], ids=["point", "value"])
+    def test_non_finite_cell_location(self, tmp_path, cell, column):
+        row = ["1", "2"]
+        row[column - 1] = f" {cell} "
+        path = write_csv(tmp_path / "d.csv", "i_1,v_1\n0,1\n" + ",".join(row) + "\n")
+        with pytest.raises(CsvError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path} row 3 column {column}: non-finite cell '{cell}'"
+
+    @pytest.mark.parametrize("text, message", [
+        # file order against a non-numeric cell and a ragged row, both ways
+        ("0,1\n1,nan\n2,x\n", "row 3 column 2: non-finite cell 'nan'"),
+        ("0,1\n1,x\n2,inf\n", "row 3 column 2: non-numeric cell 'x'"),
+        ("-inf,1\n4\n", "row 2 column 1: non-finite cell '-inf'"),
+        ("4\n-inf,1\n", "row 2: expected 2 cells, got 1"),
+        # within a row: width first, then cells left to right
+        ("nan,x\n", "row 2 column 1: non-finite cell 'nan'"),
+        ("x,nan\n", "row 2 column 1: non-numeric cell 'x'"),
+        ("inf,1,2\n", "row 2: expected 2 cells, got 3"),
+    ])
+    def test_non_finite_cell_precedence(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "d.csv", "i_1,v_1\n" + text)
+        with pytest.raises(CsvError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path} {message}"
 
     def test_header_only_keeps_widths(self, tmp_path):
         data = load_csv(write_csv(tmp_path / "d.csv", "i_1,i_2,v_1\n"))
@@ -527,3 +555,54 @@ class TestExitCodes:
         code = run_cli(["krige", "--config", config, "--data", data,
                         "--out", out])
         assert code == 2
+
+    def test_non_finite_csv_is_located_input_error(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0,1\n1,nan\n")
+        code = run_cli(["krige", "--config", config, "--data", data,
+                        "--out", tmp_path / "out"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {data} row 3 column 2: non-finite cell 'nan'\n"
+
+
+class TestParserReuse:
+    def test_runs_in_one_process_match_fresh_calls(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        krige_data = write_csv(tmp_path / "k.csv", "i_1,v_1\n0.0,0.3\n1.0,0.7\n")
+        krige_query = write_csv(tmp_path / "kq.csv", "i_1\n0.25\n0.5\n")
+        d0, d1 = blobs_2d(4, n_per_class=6)
+        svm_data = write_csv(tmp_path / "s.csv", "i_1,i_2,v_1\n" + "".join(
+            f"{a!r},{b!r},{label}\n" for points, label in ((d0, 0), (d1, 1))
+            for a, b in points.tolist()))
+        svm_query = write_csv(tmp_path / "sq.csv", "i_1,i_2\n0.5,0.5\n2.5,2.5\n")
+        runs = [
+            ["krige", "--config", config, "--data", krige_data, "--query", krige_query],
+            ["krige", "--config", config, "--frobnicate"],
+            ["classify-svm", "--config", config, "--data", svm_data,
+             "--query", svm_query],
+        ]
+
+        def sequence(tag, fresh):
+            results = []
+            for k, argv in enumerate(runs):
+                if fresh:
+                    cli._build_parser.cache_clear()
+                out = tmp_path / f"{tag}{k}"
+                try:
+                    code = run_cli([*argv, "--out", out])
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                err = capsys.readouterr().err.replace(str(out), "OUT")
+                err = re.sub(r"in [0-9.]+ ms", "in T ms", err)
+                files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+                results.append((code, err, files))
+            return results
+
+        fresh = sequence("fresh", fresh=True)
+        cli._build_parser.cache_clear()
+        reused = sequence("reused", fresh=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert [r[0] for r in reused] == [0, ("exit", 2), 0]
+        assert "arguments are required: --data" in reused[1][1]
+        assert reused[0][2] and reused[2][2]
+        assert reused == fresh

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from olskit import kernels
 from olskit.kernels import (
     CoArray,
     IndexedDataset,
@@ -10,6 +13,7 @@ from olskit.kernels import (
     covariance_metric,
     cross_kernel,
     covering_number,
+    default_epsilon_grid,
     entropy_integral,
     gram,
     kernel_eval,
@@ -222,6 +226,70 @@ class TestBitwiseValues:
         e = 1.0 if covalue is None else covalue
         want = einsum_metric_matrix(cross_kernel(spec, x, x), e)
         assert np.array_equal(metric_matrix(spec, x, covalue), want)
+
+
+def _block_sizes(n, m):
+    return [rows.stop - rows.start for rows in kernels._row_blocks(n, m)[1]]
+
+
+class TestBlockedEvaluation:
+    """Row-blocked evaluation keeps every value bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(200, 500), (1, 40000), (5000, 13)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=lambda spec: spec.family)
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_scalar_kernel_matches_closed_form(self, spec, shape, dim):
+        n, m = shape
+        rng = np.random.default_rng([n, m, dim])
+        x = rng.uniform(-3.0, 3.0, (n, dim))
+        y = rng.uniform(-3.0, 3.0, (m, dim))
+        want = closed_form_kernel(spec.family, x, y, spec.variance, spec.lengthscale,
+                                  spec.degree, spec.support_radius)
+        assert np.array_equal(scalar_kernel(spec, x, y), want)
+
+    def test_shapes_span_ragged_blocks(self):
+        sizes = _block_sizes(200, 500)
+        assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+        assert _block_sizes(1, 40000) == [1]
+        assert len(_block_sizes(5000, 13)) >= 2
+        assert len(_block_sizes(700, 700)) >= 3
+
+    @pytest.mark.parametrize("spec, covalue, n", [
+        (KernelSpec("matern52", lengthscale=0.9, variance=1.1), None, 700),
+        (KernelSpec("se", lengthscale=0.4, variance=2.0), None, 700),
+        (KernelSpec("wendland", support_radius=1.5), None, 700),
+        (KernelSpec("polynomial", lengthscale=2.0, degree=3), None, 700),
+        (KernelSpec("matern32", output_dim=2, coregionalization=MIX), [1.0, -0.5], 300),
+    ], ids=["matern52", "se", "wendland", "polynomial", "q2-covalue"])
+    def test_metric_matrix_matches_einsum(self, spec, covalue, n):
+        x = np.random.default_rng(n).uniform(0.0, 8.0, (n, 2))
+        e = 1.0 if covalue is None else covalue
+        want = einsum_metric_matrix(cross_kernel(spec, x, x), e)
+        assert np.array_equal(metric_matrix(spec, x, covalue), want)
+
+    def test_gram_keeps_symmetric_kernel_matrix(self):
+        x = np.random.default_rng(45).uniform(0.0, 5.0, (300, 2))
+        spec = KernelSpec("matern52", lengthscale=0.9)
+        k = gram(spec, x)
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(k, scalar_kernel(spec, x, x))
+
+    def test_entropy_allocates_one_metric_matrix(self):
+        # the two metric builds of a krige report must not bring back an
+        # n x n temporary: the peak stays below 1.5 n x n float arrays
+        n = 500
+        spec = KernelSpec("matern52", lengthscale=0.5)
+        x = np.sort(np.random.default_rng(46).uniform(0.0, 50.0, n))[:, None]
+        entropy_integral(spec, x[:20], default_epsilon_grid(spec, x[:20]))
+        tracemalloc.start()
+        try:
+            grid = default_epsilon_grid(spec, x)
+            entropy_integral(spec, x, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8
 
 
 class TestCoArrays:

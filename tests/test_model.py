@@ -21,7 +21,18 @@ from olskit.model import (
     sample,
 )
 
-from helpers import gls_variances, mc_mean_cov, mean_se, min_norm_interpolant, random_psd
+from olskit import model as model_module
+from olskit.arrays import ArrayDesign, model_from_design, restriction_map
+from olskit.kernels import KernelSpec
+
+from helpers import (
+    gls_variances,
+    mc_mean_cov,
+    mean_se,
+    min_norm_interpolant,
+    ols_build_dense,
+    random_psd,
+)
 
 
 def make_model(seed, n, rank=None, zero_mean=False):
@@ -115,6 +126,54 @@ class TestOlsBuild:
         resid = np.eye(5) - lift
         assert np.abs(lift @ lift - lift).max() < 1e-8
         assert np.abs(lift @ model.cov @ resid.T).max() > 1e-4
+
+
+ESTIMATOR_FIELDS = ("gain", "p_range", "lift", "resid", "data_mean")
+
+
+def assert_matches_dense(model, g, ridge=0.0):
+    est = ols_build(model, g, ridge=ridge)
+    want = ols_build_dense(model.cov, model.mean, g, ridge)
+    for name in ESTIMATOR_FIELDS:
+        assert np.array_equal(getattr(est, name), want[name]), name
+
+
+class TestSelectionMaps:
+    """A restriction map applied by index gives the dense products' bits."""
+
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_restriction_map_matches_dense_build(self, q, ridge, seed):
+        rng = np.random.default_rng([seed, q])
+        n = 60
+        mix = np.array([[1.0, 0.4], [0.4, 0.8]]) if q == 2 else None
+        spec = KernelSpec("matern52", lengthscale=0.7, output_dim=q,
+                          coregionalization=mix)
+        design = ArrayDesign(rng.uniform(0.0, 10.0, (n, 2)), spec,
+                             mean_fn=lambda p: np.full(q, np.sin(p[0]) + p[1]))
+        model = model_from_design(design)
+        subset = rng.permutation(n)[: int(rng.integers(1, n))]
+        g = restriction_map(design, subset).matrix
+        assert model_module._selected_columns(g) is not None
+        assert_matches_dense(model, g, ridge)
+
+    @pytest.mark.parametrize("edit", ["two", "double", "negative", "repeat"])
+    def test_other_maps_take_the_dense_path(self, edit):
+        model, rng = make_model(7, 8)
+        g = np.zeros((3, 8))
+        g[[0, 1, 2], [5, 1, 6]] = 1.0
+        if edit == "two":
+            g[1, 3] = 1.0
+        elif edit == "double":
+            g[2, 6] = 2.0
+        elif edit == "negative":
+            g[0, 5] = -1.0
+        else:
+            g[2] = g[0]
+        assert model_module._selected_columns(g) is None
+        assert_matches_dense(model, g)
+        assert_matches_dense(model, g, ridge=1e-3)
 
 
 class TestOlsEstimate:
