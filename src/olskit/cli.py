@@ -32,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .arrays import ArrayDesign, fuzzy_classify, krige
+from .arrays import ArrayDesign, fuzzy_classify, krige, model_from_design, restriction_map
 from .disintegration import conditional_gaussian, stochastic_ols_sample
 from .kernels import (
     IndexedDataset,
@@ -493,8 +493,6 @@ def _run_classify_fuzzy(config: Config, data: IndexedDataset,
 
 def _run_condition(config: Config, data: IndexedDataset, query: IndexedDataset,
                    seed: int) -> tuple[dict, dict]:
-    from .arrays import model_from_design, restriction_map
-
     spec = config.kernel_spec()
     if data.values is None:
         raise CsvError("condition requires value columns in the data file")

@@ -180,7 +180,7 @@ def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
     n, m = k.shape
     if n != m:
         raise NotPsdError(f"{name} must be square, got {n}x{m}")
-    floor = tol.abs_psd * (max(1.0, float(np.abs(k).max())) if k.size else 1.0)
+    floor = tol.abs_psd * (max(1.0, float(k.max()), -float(k.min())) if k.size else 1.0)
     sym = k
     if not np.array_equal(k, k.T):
         if float(np.abs(k - k.T).max()) > floor:

@@ -206,12 +206,6 @@ def ols_build(model: FiniteModel, obs, ridge: float = 0.0) -> OlsEstimator:
     )
 
 
-def support_residual(est: OlsEstimator, y) -> float:
-    """Norm of the component of y - G m outside the support directions."""
-    dy = as_vector(y, "data") - est.data_mean
-    return float(np.linalg.norm(dy - est.p_range @ dy))
-
-
 def ols_estimate(est: OlsEstimator, y, project: bool = False) -> np.ndarray:
     """Estimate the parameter vector from data on the affine support.
 

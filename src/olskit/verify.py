@@ -13,8 +13,8 @@ from itertools import combinations
 import numpy as np
 
 from . import disintegration as dis
-from .arrays import ArrayDesign, krige
-from .kernels import KernelSpec, metric_matrix
+from .arrays import ArrayDesign, krige, model_from_design, restriction_map
+from .kernels import KernelSpec, covering_number, entropy_integral, metric_matrix
 from .model import (
     FiniteModel,
     estimator_delta_norm,
@@ -134,8 +134,6 @@ def minimal_cover_size(dist: np.ndarray, eps: float) -> int:
 
 def verify_entropy(seed: int = 0) -> dict:
     """Covering-number and integrated-entropy sanity fixtures."""
-    from .kernels import covering_number, entropy_integral
-
     spec = KernelSpec("se", lengthscale=0.25, variance=1.0)
     singleton = [[0.0]]
     single_ok = (
@@ -183,11 +181,7 @@ def verify_continuity(seed: int = 0) -> dict:
 
     def model_at(lengthscale: float) -> FiniteModel:
         design = ArrayDesign(pts, KernelSpec("se", lengthscale=lengthscale))
-        from .arrays import model_from_design
-
         return model_from_design(design)
-
-    from .arrays import restriction_map
 
     design = ArrayDesign(pts, KernelSpec("se", lengthscale=ell))
     obs = restriction_map(design, observed)

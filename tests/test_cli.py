@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from olskit import cli, kernels
 from olskit.cli import (
@@ -19,7 +20,12 @@ from olskit.cli import (
     serialize_config,
 )
 
-from helpers import blobs_2d, canonical_json_cellwise, format_csv_cellwise
+from helpers import (
+    blobs_2d,
+    canonical_json_cellwise,
+    closed_form_kernel,
+    format_csv_cellwise,
+)
 
 MINIMAL = {"kernel": {"family": "se", "lengthscale": 1.0, "variance": 1.0}, "seed": 0}
 
@@ -463,26 +469,48 @@ class TestConditionCommand:
 class TestIllConditionedInput:
     """400 sorted uniform points on [0, 10], Matern-5/2, every 4th observed."""
 
-    @pytest.mark.parametrize("ell, cause", [
-        (2.0, "leaks off the fiber"),
-        (0.5, "residual covariance is not PSD"),
-    ])
-    def test_condition_is_numerical_failure(self, tmp_path, capsys, ell, cause):
-        x = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, 400))
-        observed = x[::4]
-        queries = np.delete(x, np.arange(0, 400, 4))
+    X = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, 400))
+    OBSERVED = X[::4]
+    QUERIES = np.delete(X, np.arange(0, 400, 4))
+
+    def run_condition(self, tmp_path, ell, samples):
         config = write_config(tmp_path / "c.json", {
             "kernel": {"family": "matern52", "lengthscale": ell},
-            "samples": 10,
+            "samples": samples,
         })
         data = write_csv(tmp_path / "d.csv", "i_1,v_1\n" + "".join(
-            f"{float(a)!r},{float(np.sin(a))!r}\n" for a in observed))
+            f"{float(a)!r},{float(np.sin(a))!r}\n" for a in self.OBSERVED))
         query = write_csv(tmp_path / "q.csv", "i_1\n" + "".join(
-            f"{float(a)!r}\n" for a in queries))
-        code = run_cli(["condition", "--config", config, "--data", data,
+            f"{float(a)!r}\n" for a in self.QUERIES))
+        return run_cli(["condition", "--config", config, "--data", data,
                         "--query", query, "--out", tmp_path / "out"])
-        assert code == 1
+
+    @pytest.mark.parametrize("ell, cause", [
+        (2.0, "leaks off the fiber"),
+    ])
+    def test_condition_is_numerical_failure(self, tmp_path, capsys, ell, cause):
+        assert self.run_condition(tmp_path, ell, 10) == 1
         assert cause in capsys.readouterr().err
+
+    def test_short_lengthscale_is_answered(self, tmp_path):
+        # R K rounds to a negative eigenvalue here; draws of the prior
+        # mapped onto the fiber never factor it
+        assert self.run_condition(tmp_path, 0.5, 200) == 0
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        assert report["metrics"]["fiber_max_residual"] <= 1e-8
+        y = np.sin(self.OBSERVED)
+        points = np.concatenate([self.QUERIES, self.OBSERVED])[:, None]
+        k = closed_form_kernel("matern52", points, points, 1.0, 0.5)
+        factor = cho_factor(k[300:, 300:])
+        oracle = np.concatenate([k[:300, 300:] @ cho_solve(factor, y), y])
+        mean = np.loadtxt(out / "posterior_mean.csv", delimiter=",", skiprows=1)
+        slack = 1e-8 * np.abs(y).max()
+        assert np.abs(mean[:, 1] - oracle).max() <= slack
+        draws = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
+        se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
+        # observed columns have zero variance: the mean's slack covers them
+        assert np.all(np.abs(draws.mean(axis=0) - oracle) <= 7.0 * se + slack)
 
 
 class TestIndexDimensions:

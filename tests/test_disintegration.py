@@ -15,7 +15,7 @@ from olskit.disintegration import (
 )
 from olskit.arrays import ArrayDesign, model_from_design, restriction_map
 from olskit.kernels import KernelSpec
-from olskit.linalg import NumericalError, psd_factor
+from olskit.linalg import psd_factor
 from olskit.model import FiniteModel, ols_build, sample
 
 from helpers import mc_mean_cov, random_psd
@@ -23,6 +23,8 @@ from helpers import mc_mean_cov, random_psd
 RHO = 0.8
 BIVARIATE = FiniteModel(np.zeros(2), np.array([[1.0, RHO], [RHO, 1.0]]))
 FIRST_COORD = np.array([[1.0, 0.0]])
+SHORT_X = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, 400))
+SHORT_POINTS = np.concatenate([np.delete(SHORT_X, np.arange(0, 400, 4)), SHORT_X[::4]])
 
 
 def schur_conditional(k, obs_idx, y):
@@ -35,6 +37,13 @@ def schur_conditional(k, obs_idx, y):
     mean_rest = k_ro @ np.linalg.solve(k_oo, y)
     cov_rest = k_rr - k_ro @ np.linalg.solve(k_oo, k_ro.T)
     return rest, mean_rest, cov_rest
+
+
+def short_lengthscale_design():
+    """400 sorted uniform points on [0, 10], Matern-5/2 with lengthscale 0.5,
+    every 4th observed, queries first."""
+    design = ArrayDesign(SHORT_POINTS[:, None], KernelSpec("matern52", lengthscale=0.5))
+    return model_from_design(design), restriction_map(design, range(300, 400))
 
 
 class TestResidualModel:
@@ -266,20 +275,53 @@ class TestDisintegrationCheck:
         assert not report.passed
         assert abs(report.rows[0].difference + 1.0 / 16.0) < 1e-15
 
-    def test_gaussian_check_shares_the_conditioning_residual_factor(self):
-        # 400 sorted uniform points on [0, 10], Matern-5/2 with lengthscale
-        # 0.5, every 4th observed, queries first: the residual covariance
-        # that conditioning factors is not PSD, so the check fails the same
-        # numerical way before it draws anything.
-        x = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, 400))
-        points = np.concatenate([np.delete(x, np.arange(0, 400, 4)), x[::4]])
-        design = ArrayDesign(points[:, None], KernelSpec("matern52", lengthscale=0.5))
-        obs = restriction_map(design, range(300, 400))
-        with pytest.raises(NumericalError, match="residual covariance is not PSD"):
-            disintegration_check(
-                model_from_design(design), obs,
-                [("const", lambda v: np.ones(v.shape[0]))], n_samples=10,
-            )
+    def test_gaussian_check_shares_the_conditioning_residual_map(self):
+        # R K rounds to a negative eigenvalue on this input; neither the
+        # check nor the sampler factors it
+        model, obs = short_lengthscale_design()
+        report = disintegration_check(
+            model, obs, [("const", lambda v: np.ones(v.shape[0]))], n_samples=10,
+        )
+        assert report.rows[0].difference == 0.0
+        cond = conditional_gaussian(model, obs, np.sin(SHORT_POINTS[300:]))
+        g, b = cond.estimator.obs, cond.estimator.gain
+        c = sample(model, 5, 20) - model.mean[None, :]
+        for _ in range(2):
+            c = c - (c @ g.T) @ b.T
+        assert np.array_equal(stochastic_ols_sample(cond, 5, 20), cond.mean[None, :] + c)
+
+
+class TestSamplerFromPriorDraws:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_draws_as_close_to_the_fiber_as_the_mean(self, seed):
+        # condition-like input: 20 Matern-5/2 observations among 120 points
+        rng = np.random.default_rng([seed, 1])
+        xo = 0.5 * (np.arange(20) + rng.uniform(0.2, 0.8, 20))
+        points = np.concatenate([rng.uniform(0.0, 10.0, 100), xo])
+        design = ArrayDesign(points[:, None], KernelSpec("matern52", lengthscale=1.0))
+        model = model_from_design(design)
+        obs = restriction_map(design, range(100, 120))
+        y = sample(FiniteModel(np.zeros(20), model.cov[100:, 100:]), seed, 1)[0]
+        cond = conditional_gaussian(model, obs, y)
+        draws = stochastic_ols_sample(cond, seed, 300)
+        mean_err = float(np.abs(obs.matrix @ cond.mean - y).max())
+        draw_err = float(np.abs(draws @ obs.matrix.T - y[None, :]).max())
+        assert draw_err <= 1.5 * max(mean_err, 1e-16 * float(np.abs(y).max()))
+
+    def test_only_the_prior_covariance_is_factored(self, monkeypatch):
+        model, obs = short_lengthscale_design()
+        cond = conditional_gaussian(model, obs, np.sin(SHORT_POINTS[300:]))
+        seen = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            if a.shape == (model.n, model.n):
+                seen.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        stochastic_ols_sample(cond, 0, 10)
+        assert seen and all(np.array_equal(a, model.cov) for a in seen)
 
 
 class TestLargeDiscreteFallback:

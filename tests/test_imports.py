@@ -24,6 +24,20 @@ def test_module_source_imports_no_scipy(path):
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
+@pytest.mark.parametrize("path", sorted((SRC / "olskit").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_source_imports_only_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    nested = [
+        f"{path.name}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested
+
+
 def test_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = "import sys, olskit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
