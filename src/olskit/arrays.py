@@ -10,24 +10,24 @@ to the full design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .kernels import KernelSpec, _locate, as_points, gram
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, matrix_rank
-from .model import FiniteModel, ObservationMap, OlsEstimator, ols_build, ols_estimate
+from .model import FiniteModel, ObservationMap, ols_build, ols_estimate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayDesign:
     """Finite index set, covariance kernel, and optional mean array."""
 
     index_points: np.ndarray
     kernel: KernelSpec
     mean_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         pts = as_points(self.index_points, "index_points")
@@ -64,7 +64,7 @@ class ArrayDesign:
         return _locate(point, self.index_points, "is not a design point")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformSpec:
     """Point re-indexing plus a linear value map w applied at each target."""
 
@@ -81,7 +81,6 @@ def model_from_design(design: ArrayDesign) -> FiniteModel:
     return FiniteModel(
         design.mean_array().ravel(),
         gram(design.kernel, design.index_points),
-        label="design",
         tol=design.tol,
     )
 
@@ -132,13 +131,12 @@ def transform_map(design: ArrayDesign, spec: TransformSpec) -> ObservationMap:
     return ObservationMap(g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrigeResult:
     """Predicted array with the solve diagnostics."""
 
     values: np.ndarray          # (n_points, q)
     jitter: float
-    estimator: OlsEstimator
     observed_indices: tuple[int, ...]
 
     def at(self, design: ArrayDesign, point) -> np.ndarray:
@@ -181,7 +179,6 @@ def krige(design: ArrayDesign, observed: Sequence[int], values,
     return KrigeResult(
         values=predicted.reshape(design.n_points, design.q),
         jitter=jitter,
-        estimator=est,
         observed_indices=tuple(idx),
     )
 

@@ -9,10 +9,13 @@ instead, and agreement with the original measure characterizes the
 "uncorrelated implies independent" class; a four-atom discrete measure
 provides an exact counterexample, enumerated here without Monte Carlo.
 
-The sampler, the convolution and the disintegration audit share one lift
-est(G v), one residual map v -> v - est(G v) applied to prior draws (so the
-audit checks the sampler conditioning ships) and one atom table, which adds
-up points equal to 12 decimals.
+Every function here takes the estimator alone: it carries the model it was
+built from.  The sampler, ``convolution_sample`` and both Monte Carlo
+audits share one lift est(G v) and one residual map v -> v - est(G v)
+applied to prior draws (so the audits check the sampler conditioning
+ships); the convolution measure is drawn by one map, ``_convolution``.
+Exact enumeration shares the lift and one atom table, which adds up points
+equal to 12 decimals.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .model import (
     FiniteModel,
     ObservationMap,
     OlsEstimator,
-    _obs_matrix,
     ols_build,
     ols_estimate,
     sample,
@@ -36,7 +38,7 @@ _ATOM_DECIMALS = 12
 _MAX_ENUMERATED_ATOMS = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported probability measure: atom probabilities and points."""
 
@@ -92,19 +94,18 @@ def _merge_atoms(probs, points) -> DiscreteMeasure:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalModel:
     """Conditional law at one data value: OLS mean and residual covariance.
 
-    ``prior`` is the model the estimator was built from; the sampler draws
-    from it and maps the draws onto the fiber.
+    The sampler draws from the prior ``estimator.model`` and maps the draws
+    onto the fiber.
     """
 
     mean: np.ndarray
     residual_cov: np.ndarray
     estimator: OlsEstimator
     data: np.ndarray
-    prior: FiniteModel
 
     def __post_init__(self) -> None:
         obs = self.estimator.obs
@@ -116,39 +117,21 @@ class ConditionalModel:
             )
 
 
-def _check_built_from(model: FiniteModel, est: OlsEstimator) -> np.ndarray:
-    """Reject an estimator built from another model; returns R K.
+def residual_model(est: OlsEstimator) -> FiniteModel:
+    """Law of v - est(G v) under the estimator's model: centered, R K R^T.
 
-    Besides ``n`` and the mean, checks R K = K R^T at
-    1e-8 max(1, max|K|): the residual map R is self-adjoint in the inner
-    product of the covariance K it was built from, and not in general in
-    another one with the same mean.
+    Verifies the lifted-projection identities R K R^T = R K = K R^T at
+    1e-8 max(1, max|K|) before returning; these hold exactly for the
+    least-squares estimator.
     """
-    if est.n != model.n or not np.array_equal(est.mean, model.mean):
-        raise ValueError("estimator was not built from this model")
+    model = est.model
     rk = est.resid @ model.cov
-    if float(np.abs(rk - rk.T).max()) > 1e-8 * _cov_scale(model):
-        raise ValueError("estimator was not built from this model: R K != K R^T")
-    return rk
-
-
-def _cov_scale(model: FiniteModel) -> float:
-    return max(1.0, float(np.abs(model.cov).max()))
-
-
-def residual_model(model: FiniteModel, est: OlsEstimator) -> FiniteModel:
-    """Law of v - est(G v): centered residual with covariance R K R^T.
-
-    Verifies the lifted-projection identities R K R^T = R K = K R^T before
-    returning; these hold exactly for the least-squares estimator.  The
-    second one is ``_check_built_from``'s.
-    """
-    rk = _check_built_from(model, est)
     rkr = rk @ est.resid.T
-    if float(np.abs(rkr - rk).max()) > 1e-8 * _cov_scale(model):
+    bound = 1e-8 * max(1.0, float(np.abs(model.cov).max()))
+    if float(np.abs(rk - rk.T).max()) > bound or float(np.abs(rkr - rk).max()) > bound:
         raise ValueError("residual identities R K R^T = R K = K R^T fail")
     mean = model.mean - ols_estimate(est, est.data_mean)
-    return FiniteModel(mean, symmetrize(rkr), label="residual", tol=model.tol)
+    return FiniteModel(mean, symmetrize(rkr), tol=model.tol)
 
 
 def conditional_gaussian(model: FiniteModel, obs, y,
@@ -162,13 +145,12 @@ def conditional_gaussian(model: FiniteModel, obs, y,
         residual_cov=rcov,
         estimator=est,
         data=as_vector(y, "data"),
-        prior=model,
     )
 
 
 def _lift(est: OlsEstimator, v: np.ndarray) -> np.ndarray:
     """Row-wise est(G v) through the map the estimator was built from."""
-    return est.mean[None, :] + (v @ est.obs.T - est.data_mean[None, :]) @ est.gain.T
+    return est.model.mean[None, :] + (v @ est.obs.T - est.data_mean[None, :]) @ est.gain.T
 
 
 def _residual_noise(est: OlsEstimator, v: np.ndarray) -> np.ndarray:
@@ -179,7 +161,7 @@ def _residual_noise(est: OlsEstimator, v: np.ndarray) -> np.ndarray:
     One pass leaves a fiber error up to several times the posterior mean's
     own, and costs the conditioned draws about half a digit of accuracy.
     """
-    c = v - est.mean[None, :]
+    c = v - est.model.mean[None, :]
     for _ in range(2):
         c = c - (c @ est.obs.T) @ est.gain.T
     return c
@@ -192,27 +174,28 @@ def stochastic_ols_sample(cond: ConditionalModel, seed: int,
     Every row lies on the fiber {v : G v = y} and the rows follow the
     conditional law N(est(y), R K) without factoring R K (Matheron's rule).
     """
-    v = sample(cond.prior, seed, n_samples)
+    v = sample(cond.estimator.model, seed, n_samples)
     return cond.mean[None, :] + _residual_noise(cond.estimator, v)
 
 
-def convolution_sample(model: FiniteModel, obs, est: OlsEstimator,
-                       seed: int, n_samples: int) -> np.ndarray:
-    """Draws from the convolution measure est(G v1) + (v2 - est(G v2)).
+def _convolution(est: OlsEstimator, v: np.ndarray) -> np.ndarray:
+    """Convolution draws est(G v1) + (v2 - est(G v2)) from prior draws v.
+
+    v1 and v2 are the first and second halves of the rows of v; v2 goes
+    through the sampler's residual map.
+    """
+    v1, v2 = np.split(v, 2)
+    return _lift(est, v1) + _residual_noise(est, v2)
+
+
+def convolution_sample(est: OlsEstimator, seed: int, n_samples: int) -> np.ndarray:
+    """Draws from the convolution measure of the estimator's model.
 
     v1 and v2 are independent model draws taken from a single seeded
-    stream, so results are reproducible for a given seed; v2 goes through
-    the sampler's residual map.  ``est`` must have been built from
-    ``model`` and ``obs``.
+    stream of 2 n_samples rows, so results are reproducible for a given
+    seed.
     """
-    g = _obs_matrix(obs, model.n)
-    _check_built_from(model, est)
-    if not np.array_equal(g, est.obs):
-        raise ValueError("estimator was not built from this observation map")
-    n = int(n_samples)
-    draws = sample(model, seed, 2 * n)
-    v1, v2 = draws[:n], draws[n:]
-    return _lift(est, v1) + _residual_noise(est, v2)
+    return _convolution(est, sample(est.model, seed, 2 * int(n_samples)))
 
 
 def default_test_functions(n: int, seed: int = 0, n_random: int = 5):
@@ -288,31 +271,36 @@ def disintegration_check(measure, obs, test_functions=None, seed: int = 0,
     exactly a draw from the convolution measure.  Discrete measures are
     checked by exact enumeration (difference bound 1e-12) while the
     convolution stays within the 10^4-atom cap, and by the same Monte
-    Carlo comparison beyond it; exact failures witness non-UII dependence
-    structure.
+    Carlo comparison beyond it, on atoms drawn by probability; exact
+    failures witness non-UII dependence structure.  Both Monte Carlo
+    audits take 3 n_samples draws: the first third is the direct side,
+    the rest go through ``_convolution``.
     """
-    if isinstance(measure, DiscreteMeasure):
-        if measure.probs.size ** 2 <= _MAX_ENUMERATED_ATOMS:
-            return _disintegration_check_discrete(measure, obs, test_functions)
-        return _disintegration_check_discrete_mc(
-            measure, obs, test_functions, seed, n_samples
-        )
-    if not isinstance(measure, FiniteModel):
-        raise TypeError("measure must be a FiniteModel or DiscreteMeasure")
-    model = measure
-    if test_functions is None:
-        test_functions = default_test_functions(model.n, seed=seed)
     n = int(n_samples)
-    est = ols_build(model, obs)
-    direct, source, noise = np.split(sample(model, seed, 3 * n), 3)
-    conditional = _lift(est, source) + _residual_noise(est, noise)
-    return DisintegrationReport.paired_monte_carlo(test_functions, direct, conditional)
+    if isinstance(measure, DiscreteMeasure):
+        k = measure.probs.size
+        if k * k <= _MAX_ENUMERATED_ATOMS:
+            return _disintegration_check_discrete(measure, obs, test_functions)
+        est = discrete_ols(measure, obs)
+        rng = np.random.default_rng(seed)
+        draws = measure.points[rng.choice(k, 3 * n, p=measure.probs)]
+        n_random = 0
+    elif isinstance(measure, FiniteModel):
+        est = ols_build(measure, obs)
+        draws = sample(measure, seed, 3 * n)
+        n_random = 5
+    else:
+        raise TypeError("measure must be a FiniteModel or DiscreteMeasure")
+    if test_functions is None:
+        test_functions = default_test_functions(measure.n, seed=seed, n_random=n_random)
+    return DisintegrationReport.paired_monte_carlo(
+        test_functions, draws[:n], _convolution(est, draws[n:])
+    )
 
 
 def discrete_ols(measure: DiscreteMeasure, obs) -> OlsEstimator:
     """Least-squares estimator for the mean and covariance of a discrete law."""
-    model = FiniteModel(measure.mean(), measure.cov(), label="discrete")
-    return ols_build(model, obs)
+    return ols_build(FiniteModel(measure.mean(), measure.cov()), obs)
 
 
 def discrete_convolution(measure: DiscreteMeasure, obs) -> DiscreteMeasure:
@@ -354,23 +342,6 @@ def _disintegration_check_discrete(measure: DiscreteMeasure, obs,
             passed=abs(lhs - rhs) <= 1e-12,
         ))
     return DisintegrationReport(rows=rows, n_samples=0, exact=True)
-
-
-def _disintegration_check_discrete_mc(measure: DiscreteMeasure, obs,
-                                      test_functions, seed: int,
-                                      n_samples: int) -> DisintegrationReport:
-    """Sampled comparison for discrete laws too large to enumerate."""
-    est = discrete_ols(measure, obs)
-    if test_functions is None:
-        test_functions = default_test_functions(measure.n, seed=seed, n_random=0)
-    n = int(n_samples)
-    rng = np.random.default_rng(seed)
-    direct = measure.points[rng.choice(measure.probs.size, n, p=measure.probs)]
-    i = rng.choice(measure.probs.size, n, p=measure.probs)
-    j = rng.choice(measure.probs.size, n, p=measure.probs)
-    lifted = _lift(est, measure.points[i])
-    conv = lifted + (measure.points[j] - _lift(est, measure.points[j]))
-    return DisintegrationReport.paired_monte_carlo(test_functions, direct, conv)
 
 
 def uii_counterexample():

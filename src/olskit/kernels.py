@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, check_psd, symmetrize
+from .linalg import as_matrix, check_psd
 
 _STATIONARY = ("se", "matern12", "matern32", "matern52", "wendland")
 _DOT_PRODUCT = ("linear", "polynomial")
@@ -294,18 +294,18 @@ def cross_kernel(spec: KernelSpec, x, y) -> np.ndarray:
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Assemble the (n q) x (n q) Gram matrix over a point list.
 
-    The layout is ``cross_kernel``'s.  An exactly symmetric kernel matrix
-    is returned as it is, any other is symmetrized; neither is checked for
-    PSD-ness: ``FiniteModel`` is the one gate for a prior covariance.
+    The layout is ``cross_kernel``'s, and the matrix is returned as
+    evaluated, neither symmetrized nor checked: ``FiniteModel`` is the one
+    gate for a prior covariance, and it symmetrizes an asymmetry within
+    its floor or rejects one beyond it.
     """
     pts = as_points(points)
     if pts.shape[0] == 0:
         raise ValueError("gram requires at least one point")
-    k = cross_kernel(spec, pts, pts)
-    return k if np.array_equal(k, k.T) else symmetrize(k)
+    return cross_kernel(spec, pts, pts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoArray:
     """Finitely supported functional: a list of (weight, point) masses.
 
@@ -334,7 +334,7 @@ class CoArray:
         return CoArray(cov[None, :], np.atleast_1d(np.asarray(point, float))[None, :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexedDataset:
     """Index points with optional observed values (one length-q row each)."""
 

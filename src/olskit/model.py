@@ -15,7 +15,7 @@ risk identities and the Gauss-Markov comparisons in this module exercise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +48,13 @@ class ContractError(ValueError):
     """An estimator matrix fails its right-inverse contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteModel:
     """Mean vector plus PSD covariance matrix on R^n."""
 
     mean: np.ndarray
     cov: np.ndarray
-    label: str = ""
-    tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         m = as_vector(self.mean, "mean")
@@ -72,7 +71,7 @@ class FiniteModel:
         return self.mean.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationMap:
     """Dense p x n realization of a continuous linear map and its adjoint."""
 
@@ -101,10 +100,12 @@ def _obs_matrix(obs, n: int) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OlsEstimator:
-    """Frozen matrices of the least-squares estimator for one (model, map) pair.
+    """Frozen matrices of the least-squares estimator built from one model.
 
+    model   : the model it was built from; its mean, covariance and
+              tolerance are read from here, never passed alongside.
     gain    : n x p matrix B = K G^T S^+.
     p_range : projector onto range(S), the support directions in data space.
     lift    : L = B G, a projection onto the lifted subspace that is
@@ -112,18 +113,17 @@ class OlsEstimator:
     resid   : R = I - L.
     """
 
+    model: FiniteModel
     gain: np.ndarray
     p_range: np.ndarray
     lift: np.ndarray
     resid: np.ndarray
-    mean: np.ndarray
     data_mean: np.ndarray
     obs: np.ndarray
-    tol: Tolerance = field(compare=False, default=DEFAULT_TOL)
 
     @property
     def n(self) -> int:
-        return self.mean.size
+        return self.model.n
 
     @property
     def p(self) -> int:
@@ -139,7 +139,6 @@ def pushforward(model: FiniteModel, obs) -> FiniteModel:
     return FiniteModel(
         g @ model.mean,
         symmetrize(g @ model.cov @ g.T),
-        label=f"{model.label}|pushforward" if model.label else "pushforward",
         tol=model.tol,
     )
 
@@ -195,14 +194,13 @@ def ols_build(model: FiniteModel, obs, ridge: float = 0.0) -> OlsEstimator:
     resid = np.eye(model.n)
     resid -= lift
     return OlsEstimator(
+        model=model,
         gain=gain,
         p_range=p_range,
         lift=lift,
         resid=resid,
-        mean=model.mean.copy(),
         data_mean=data_mean,
         obs=g,
-        tol=model.tol,
     )
 
 
@@ -216,7 +214,7 @@ def ols_estimate(est: OlsEstimator, y, project: bool = False) -> np.ndarray:
     dy = as_vector(y, "data") - est.data_mean
     norm_dy = float(np.linalg.norm(dy))
     resid = float(np.linalg.norm(dy - est.p_range @ dy))
-    threshold = est.tol.support_rtol * norm_dy + 1e-15 * (1.0 + norm_dy)
+    threshold = est.model.tol.support_rtol * norm_dy + 1e-15 * (1.0 + norm_dy)
     if resid > threshold:
         if not project:
             raise SupportViolationError(
@@ -225,7 +223,7 @@ def ols_estimate(est: OlsEstimator, y, project: bool = False) -> np.ndarray:
                 residual=resid,
             )
         dy = est.p_range @ dy
-    return est.mean + est.gain @ dy
+    return est.model.mean + est.gain @ dy
 
 
 def sample(model: FiniteModel, seed: int, n_samples: int) -> np.ndarray:
@@ -290,11 +288,12 @@ def risk(model: FiniteModel, obs, gain_any, f, offset=None) -> RiskReport:
 
     and stays at rounding level for any valid input.
     """
-    return _risk(model, ols_build(model, obs), gain_any, f, offset)
+    return _risk(ols_build(model, obs), gain_any, f, offset)
 
 
-def _risk(model: FiniteModel, est: OlsEstimator, gain_any, f, offset=None) -> RiskReport:
-    """Body of ``risk``, given the least-squares estimator built from model."""
+def _risk(est: OlsEstimator, gain_any, f, offset=None) -> RiskReport:
+    """Body of ``risk``, given the least-squares estimator of its model."""
+    model = est.model
     g = est.obs
     gain_any = as_matrix(gain_any, "estimator matrix")
     f = as_vector(f, "functional")
@@ -357,18 +356,6 @@ class GmtReport:
         return all(r.mse_slack >= -1e-10 for r in self.rows)
 
     @property
-    def estvar_pass(self) -> bool:
-        """Whether no alternative explains less variance of f than least squares.
-
-        Diagnostic only: an oblique right inverse B' can push f^T B' S B'^T f
-        below the least-squares value, so this is not a Gauss-Markov
-        inequality and may be False for correct input.  The variance
-        inequality that does hold (full-rank K and S) is the PSD-order one,
-        B'^T K^-1 B' >= S^-1, with equality exactly at B' = B.
-        """
-        return all(r.estvar_slack >= -1e-10 for r in self.rows)
-
-    @property
     def identity_pass(self) -> bool:
         return all(r.identity_residual <= 1e-10 for r in self.rows)
 
@@ -391,12 +378,12 @@ def gmt_compare(model: FiniteModel, obs, f, alternatives,
     f = as_vector(f, "functional")
     est = ols_build(model, obs)
     s = est.obs @ model.cov @ est.obs.T
-    base = _risk(model, est, est.gain, f)
+    base = _risk(est, est.gain, f)
     rows = []
     if offsets is None:
         offsets = [None] * len(alternatives)
     for gain_alt, off in zip(alternatives, offsets):
-        rep = _risk(model, est, gain_alt, f, offset=off)
+        rep = _risk(est, gain_alt, f, offset=off)
         gain_alt = as_matrix(gain_alt, "estimator matrix")
         diff = (gain_alt - est.gain).T @ f
         excess = float(diff @ s @ diff)

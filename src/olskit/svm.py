@@ -24,7 +24,7 @@ recomputes the pointwise side independently through ``decision_values``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,14 +45,14 @@ class ConvergenceError(RuntimeError):
         self.gap = float(gap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvmProblem:
     """Scalar kernel plus two disjoint labeled point sets."""
 
     kernel: KernelSpec
     d0: np.ndarray
     d1: np.ndarray
-    tol: Tolerance = field(default=DEFAULT_TOL, compare=False)
+    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         if self.kernel.q != 1:
@@ -95,7 +95,7 @@ class SvmProblem:
         return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvmModel:
     """Trained classifier state: simplex weights, margin, offset, certificate."""
 
@@ -274,7 +274,7 @@ def xi_distance(problem: SvmProblem, model_a: SvmModel, model_b: SvmModel) -> fl
     return float(np.sqrt(max(0.0, d @ problem.signed_gram @ d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginReport:
     support_margin_defect: float
     pair_separation_slack: float

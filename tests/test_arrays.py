@@ -10,8 +10,8 @@ from olskit.arrays import (
     restriction_map,
     transform_map,
 )
-from olskit.kernels import KernelSpec, kernel_eval, gram
-from olskit.linalg import NotPsdError
+from olskit.kernels import KernelSpec, cross_kernel, kernel_eval, gram
+from olskit.linalg import NotPsdError, symmetrize
 from olskit.model import (
     SupportViolationError,
     estimator_delta_norm,
@@ -65,6 +65,26 @@ class TestModelFromDesign:
             model_from_design(design)
         with pytest.raises(NotPsdError, match="eigenvalue"):
             krige(design, [0], [1.0])
+
+    @staticmethod
+    def skewed_design(slope):
+        """exp(-(i-j)^2) + slope (i-j) on 6 points of [0, 1]: asymmetry 2 slope."""
+        def hook(i, j):
+            return np.array([[np.exp(-(i[0] - j[0]) ** 2) + slope * (i[0] - j[0])]])
+        return ArrayDesign(np.linspace(0.0, 1.0, 6)[:, None], KernelSpec("custom", eval_hook=hook))
+
+    def test_asymmetric_custom_kernel_rejected(self):
+        design = self.skewed_design(0.3)
+        with pytest.raises(NotPsdError, match="asymmetric"):
+            model_from_design(design)
+        with pytest.raises(NotPsdError, match="asymmetric"):
+            krige(design, [0], [1.0])
+
+    def test_slightly_asymmetric_custom_kernel_symmetrized_by_the_gate(self):
+        design = self.skewed_design(1e-13)
+        k = cross_kernel(design.kernel, design.index_points, design.index_points)
+        assert not np.array_equal(k, k.T)
+        assert np.array_equal(model_from_design(design).cov, symmetrize(k))
 
     def test_krige_certifies_prior_with_one_cholesky_and_no_eigensolve(self, monkeypatch):
         n = 30

@@ -38,6 +38,21 @@ def test_module_source_imports_only_at_module_level(path):
     assert not nested
 
 
+def test_no_function_takes_a_model_and_its_estimator():
+    # an OlsEstimator carries the FiniteModel it was built from
+    both = []
+    for path in sorted((SRC / "olskit").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+            names = {ast.unparse(a.annotation) for a in args if a.annotation is not None}
+            if {"FiniteModel", "OlsEstimator"} <= names:
+                both.append(f"{path.name}:{func.name}")
+    assert not both
+
+
 def test_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = "import sys, olskit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from olskit.disintegration import conditional_gaussian
 from olskit.linalg import Tolerance, pinv, range_projector
 from olskit.model import (
     ContractError,
@@ -126,6 +127,29 @@ class TestOlsBuild:
         resid = np.eye(5) - lift
         assert np.abs(lift @ lift - lift).max() < 1e-8
         assert np.abs(lift @ model.cov @ resid.T).max() > 1e-4
+
+
+def _model_estimator_conditional():
+    model, rng = make_model(7, 4)
+    g = rng.standard_normal((2, 4))
+    cond = conditional_gaussian(model, g, g @ model.mean)
+    return model, cond.estimator, cond
+
+
+class TestIdentity:
+    @pytest.mark.parametrize("which", range(3),
+                             ids=["FiniteModel", "OlsEstimator", "ConditionalModel"])
+    def test_equality_is_identity_and_hashable(self, which):
+        obj = _model_estimator_conditional()[which]
+        twin = _model_estimator_conditional()[which]  # equal arrays, new objects
+        assert obj == obj
+        assert not obj == twin
+        assert hash(obj) == hash(obj)
+
+    def test_estimator_holds_the_model_it_was_built_from(self):
+        model, est, cond = _model_estimator_conditional()
+        assert est.model is model and cond.estimator is est
+        assert est.n == model.n
 
 
 ESTIMATOR_FIELDS = ("gain", "p_range", "lift", "resid", "data_mean")
