@@ -15,6 +15,12 @@ Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
 across runs; wall time goes to stderr, never into the report.  All output
 files are written atomically (temp file plus rename).
+
+Every float in a CSV table or a JSON array is written as ``"%.17g" % x``
+would write it.  Tables of a few hundred cells or more are converted by
+numpy (``_float_rows``): an exact product with a power of ten gives each
+cell's correctly rounded 17 digits, and only ties, very small or large
+exponents and non-finite values are formatted one cell at a time.
 """
 
 from __future__ import annotations
@@ -62,17 +68,147 @@ class CsvError(ValueError):
 _NON_FINITE = "reports must not contain non-finite numbers"
 
 
+_SMALL_TABLE = 200  # cells; below this the row template beats ~60 numpy calls
+_BLOCK = 2048  # cells per block of whole rows; bounds the temporaries, of which
+# the largest is np.compress's index array, 8 bytes per byte of text
+_SPLIT = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+# One cell's layout: '-', '0', '.', '000', then d0..d16 with a '.' slot after
+# each of d0..d15, then the separator.  A mask row picks the cell's bytes.
+_WIDTH = 40
+_DIGIT_COLS = slice(6, 39, 2)
+_LAYOUT = np.frombuffer(b"-0.000" + b"0." * 16 + b"0,", dtype=np.uint8)
+
+
+def _dekker_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    t = v * _SPLIT
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
+    """ASCII of every 4-digit group, and the place of its last nonzero digit."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row i: i's digits
+    text = np.ascontiguousarray(digits + ord("0")).view(np.uint32).ravel()
+    last = np.full(10000, -64, dtype=np.int8)  # a zero group never wins the max
+    for place in range(4):
+        last[digits[:, place] != 0] = place
+    return text, last
+
+
+def _cell_masks() -> np.ndarray:
+    """Layout mask of every (sign, exponent, last nonzero digit) as one V40.
+
+    Exponent index ``k + 4`` for k in [-4, 16], 21 for a zero.  For k < 0
+    the cell is ``0.`` plus -k-1 zeros and the digits; for k >= 0 the '.'
+    follows d_k and is dropped with the fraction when every later digit is
+    zero.  Trailing zeros are cut; the separator is always kept.
+    """
+    mask = np.zeros((2, 22, 17, _WIDTH), dtype=np.uint8)
+    mask[1, ..., 0] = 1
+    mask[..., -1] = 1
+    digit = np.arange(17)
+    last = digit[:, None]
+    for k in range(-4, 17):
+        mask[:, k + 4, :, _DIGIT_COLS] = digit <= np.maximum(last, k)
+        if k < 0:
+            mask[:, k + 4, :, 1:2 - k] = 1
+        elif k < 16:
+            mask[:, k + 4, :, 7 + 2 * k] = digit > k
+    mask[:, 21, :, 1] = 1
+    return mask.reshape(-1, _WIDTH).view(f"V{_WIDTH}").ravel()
+
+
+_POW10 = np.array([float(10**p) for p in range(21)])  # exact: 5**p < 2**53
+_POW10_HI, _POW10_LO = _dekker_split(_POW10)
+_QUAD_TEXT, _QUAD_LAST = _quad_tables()
+# digit index of place 0 of each 4-digit group of D (d0 is place 3 of the first)
+_QUAD_PLACE = np.array([-3, 1, 5, 9, 13], dtype=np.int8)[:, None]
+_CELL_MASKS = _cell_masks()
+
+
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, k, exact)``: D = round(|x| 10**(16-k)) with k = floor(log10|x|).
+
+    ``|x| * 10**p`` is formed as Dekker's error-free product hi + lo; with
+    10**16 <= hi, hi is an integer and lo the exact remainder, so rounding
+    lo rounds the exact product.  ``exact`` is false wherever the cell must
+    go to ``%``: outside [1e-4, 1e17), a remainder within 1e-6 of a tie, or
+    a ``log10`` off by one (the exact product outside [10**16, 10**17)).
+    """
+    a = np.abs(x)
+    inside = (a >= 1e-4) & (a < 1e17)
+    a = np.where(inside, a, 1.0)
+    k = np.minimum(np.floor(np.log10(a)), 16).astype(np.intp)
+    p = 16 - k
+    hi = a * _POW10[p]
+    ah, al = _dekker_split(a)
+    lo = al * _POW10_LO[p] - (((hi - ah * _POW10_HI[p]) - al * _POW10_HI[p])
+                               - ah * _POW10_LO[p])
+    r = np.rint(lo)
+    d = hi.astype(np.int64) + r.astype(np.int64)
+    t = lo - r
+    exact = (inside & (d >= 10**16) & (d < 10**17)
+             & (np.abs(np.abs(t) - 0.5) > 1e-6) & ((t >= 0) | (d > 10**16)))
+    return d, k, exact
+
+
+def _digits17(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII digits of each 17-digit D, and the place of its last nonzero one."""
+    quads = np.empty((5, d.size), dtype=np.int64)
+    for j in range(4, 0, -1):
+        d, quads[j] = np.divmod(d, 10000)
+    quads[0] = d
+    last = np.max(_QUAD_LAST.take(quads) + _QUAD_PLACE, axis=0)
+    return _QUAD_TEXT.take(quads.T).view(np.uint8)[:, 3:], last
+
+
+def _block_text(x: np.ndarray, layout: np.ndarray) -> str:
+    """Text of the cells ``x`` with ``layout``'s separators after each."""
+    d, k, exact = _decimal17(x)
+    zero = x == 0
+    layout[:, _DIGIT_COLS], last = _digits17(d)
+    row = (np.signbit(x) * 22 + np.where(zero, 21, k + 4)) * 17 + last
+    mask = _CELL_MASKS.take(row).view(np.bool_).reshape(-1, _WIDTH)
+    other = np.flatnonzero(~(exact | zero))
+    if other.size:
+        text = "".join([("%.17g" % v).ljust(_WIDTH - 1, "\0")
+                        for v in x[other].tolist()])
+        cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        layout[other, :-1] = cells.reshape(-1, _WIDTH - 1)
+        mask[other, :-1] = layout[other, :-1] != 0
+    text = np.compress(mask.ravel(), layout.ravel()).tobytes().decode("ascii")
+    layout[other, :-1] = _LAYOUT[:-1]  # the next block reuses the layout
+    return text
+
+
 def _float_rows(rows: np.ndarray) -> list[str]:
     """Rows of a 2-d array as ``%.17g`` cells joined by commas.
 
-    One ``"%.17g,...,%.17g"`` template serves every row; ``%`` and
-    ``format(x, ".17g")`` share CPython's correctly rounded conversion, so
-    the text is the same as formatting cell by cell.  Each row is turned
-    into Python floats on its own: ``rows.tolist()`` would hold every cell
-    of a large table as a Python float at once and raise peak RSS.
+    The text is, byte for byte, ``"%.17g" % x`` of every cell.  A table of
+    fewer than ``_SMALL_TABLE`` cells goes through one ``"%.17g,...,%.17g"``
+    row template.  A larger one is converted by numpy in blocks of whole
+    rows, about ``_BLOCK`` cells each: every zero and every finite cell with
+    decimal exponent in [-4, 16] gets its correctly rounded 17 digits from
+    an exact product (``_decimal17``), which are laid out with trailing zeros
+    cut and compressed into ASCII; every other cell (a tie, an exponent
+    outside that range, a non-finite value) is formatted by ``%`` on its own.
     """
-    template = ",".join(["%.17g"] * rows.shape[1])
-    return [template % tuple(row.tolist()) for row in rows]
+    nrows, ncols = rows.shape
+    if rows.size < _SMALL_TABLE:
+        template = ",".join(["%.17g"] * ncols)
+        return [template % tuple(row.tolist()) for row in rows]
+    per_block = max(1, _BLOCK // ncols)
+    layout = np.empty((min(per_block, nrows), ncols, _WIDTH), dtype=np.uint8)
+    layout[...] = _LAYOUT
+    layout[:, -1, -1] = ord("\n")
+    layout = layout.reshape(-1, _WIDTH)
+    out = []
+    for start in range(0, nrows, per_block):
+        x = np.ascontiguousarray(rows[start:start + per_block], dtype=np.float64).ravel()
+        lines = _block_text(x, layout[:x.size]).split("\n")
+        lines.pop()  # the block ends with a newline
+        out += lines
+    return out
 
 
 def _canonical(value) -> str:

@@ -15,7 +15,7 @@ estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,7 +58,7 @@ def as_points(points, name: str = "points") -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpec:
     """Parametrized covariance kernel.
 
@@ -81,6 +81,9 @@ class KernelSpec:
         Compact support radius (wendland family only).
     eval_hook : callable or None
         ``hook(i, j) -> (q, q) block`` for the custom family.
+
+    Specs compare and hash by value: the mixing matrix by its entries, the
+    hook not at all.
     """
 
     family: str
@@ -90,9 +93,7 @@ class KernelSpec:
     coregionalization: np.ndarray | None = None
     degree: int = 2
     support_radius: float | None = None
-    eval_hook: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False
-    )
+    eval_hook: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         key = _FAMILY_ALIASES.get(str(self.family).lower())
@@ -121,6 +122,21 @@ class KernelSpec:
                 )
             b = check_psd(b, name="coregionalization").matrix
             object.__setattr__(self, "coregionalization", b)
+
+    def _key(self) -> tuple:
+        b = self.coregionalization
+        # + 0.0 turns -0.0 into 0.0, so equal matrices have equal bytes
+        mixing = None if b is None else (b + 0.0).tobytes()
+        return (self.family, self.lengthscale, self.variance, self.output_dim,
+                mixing, self.degree, self.support_radius)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KernelSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def q(self) -> int:

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,8 +240,49 @@ def seeded_tables():
     yield np.round(rng.standard_normal((6, 5)) * 1000)  # integer-valued floats
 
 
+def vector_path_tables():
+    """Seeded tables of at least ``cli._SMALL_TABLE`` cells, ~10**5 in all."""
+    rng = np.random.default_rng(2024)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    yield np.where(np.isfinite(bits), bits, 1.0).reshape(200, 100)
+    exponents = np.arange(-324, 309)
+    with np.errstate(over="ignore", under="ignore"):
+        scaled = rng.uniform(1.0, 10.0, (16, exponents.size)) * 10.0 ** exponents
+    scaled[~np.isfinite(scaled)] = 1.7976931348623157e308
+    yield scaled * rng.choice([-1.0, 1.0], scaled.shape)
+    powers = 10.0 ** np.arange(-30, 31)
+    yield np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                          -powers, -np.nextafter(powers, 0.0)]).reshape(5, -1)
+    odd = 2 * rng.integers(0, 2**16, 4000) + 1
+    yield (1.0 + odd * 2.0**-17).reshape(40, 100)  # ties at the 17th digit
+    odd = 2 * rng.integers(0, 2**20, 4000) + 1
+    yield (odd * 2.0 ** -rng.integers(1, 60, 4000)).reshape(100, 40)
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                      -1e-320, 1e-4, np.nextafter(1e-4, 0.0), 1e16, 1e17,
+                      np.nextafter(1e17, 0.0), 99999999999999984.0, 1.0, -1.0, 0.5])
+    yield np.tile(edges, (20, 1))
+    yield rng.standard_normal((300, 120))
+    yield rng.standard_normal((60, 50)).astype(np.float32)
+    yield rng.integers(-2**62, 2**62, (40, 50))
+    yield rng.random((30, 20)) < 0.5
+    labels = np.zeros((400, 4))
+    labels[:, :3] = rng.standard_normal((400, 3))
+    labels[::3, 2] = 0.0
+    labels[:, 3] = rng.integers(0, 2, 400)
+    yield labels
+    specials = rng.standard_normal((30, 40))
+    specials.flat[rng.choice(specials.size, 60, replace=False)] = rng.choice(
+        [np.nan, np.inf, -np.inf], 60)
+    yield specials
+    block = cli._BLOCK
+    for cells in (block - 1, block, block + 1):
+        yield rng.standard_normal((cells, 1))
+        yield rng.standard_normal((1, cells))
+    yield rng.standard_normal((2 * block + 3, 2))
+
+
 class TestFloatFormatting:
-    """The row template writes the bytes of per-cell ``format(x, ".17g")``."""
+    """``%.17g`` text is the bytes of per-cell ``format(x, ".17g")``."""
 
     def tables(self):
         edge = np.array(EDGE_VALUES)
@@ -284,6 +326,32 @@ class TestFloatFormatting:
                  "rho": np.float64(0.25), "gap": 1e-13, "offset": -0.0}
         assert canonical_json(value) == canonical_json_cellwise(value)
 
+    def test_csv_vector_path_matches_cellwise(self):
+        for table in vector_path_tables():
+            assert table.size >= cli._SMALL_TABLE
+            header = [f"c_{k}" for k in range(1, table.shape[1] + 1)]
+            assert _format_csv(header, table) == format_csv_cellwise(header, table)
+
+    def test_json_vector_path_matches_cellwise(self):
+        for table in vector_path_tables():
+            if np.isfinite(table).all():
+                assert canonical_json(table) == canonical_json_cellwise(table)
+                assert canonical_json(table.ravel()) == canonical_json_cellwise(table.ravel())
+
+    def test_csv_peak_memory_is_bounded_by_its_text(self):
+        # blocks of rows keep the temporaries small: converting the whole
+        # 300 x 120 table at once peaks at about 14 times its text
+        table = np.random.default_rng(7).standard_normal((300, 120))
+        header = [f"c_{k}" for k in range(1, 121)]
+        text = _format_csv(header, table)
+        tracemalloc.start()
+        try:
+            _format_csv(header, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected_with_one_message(self, bad):
         message = "^reports must not contain non-finite numbers$"
@@ -299,7 +367,8 @@ def run_cli(args):
 
 
 class TestCsvOutputsRoundTrip:
-    """Every CSV a command writes parses back bit for bit to its source array."""
+    """Every CSV a command writes is the per-cell text of its source array,
+    and parses back bit for bit to it."""
 
     @pytest.mark.parametrize("command", ["krige", "condition", "classify-svm",
                                          "classify-fuzzy"])
@@ -314,18 +383,37 @@ class TestCsvOutputsRoundTrip:
             f"{a!r},{b!r}\n" for a, b in
             np.random.default_rng(2).uniform(-2.0, 5.0, (7, 2)).tolist()))
         config = write_config(tmp_path / "c.json", {"samples": 40})
+        self.check(tmp_path, monkeypatch, [command, "--config", config, "--data", data,
+                                           "--query", query])
+
+    def test_condition_at_benchmark_size(self, tmp_path, monkeypatch):
+        # 20 observed and 100 query points, 300 samples: a 300 x 120 samples.csv
+        rng = np.random.default_rng(11)
+        xo = 0.5 * (np.arange(20) + rng.uniform(0.2, 0.8, 20))
+        xq = rng.uniform(0.0, 10.0, 100)
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n" + "".join(
+            f"{a!r},{v!r}\n" for a, v in zip(xo.tolist(), np.sin(xo).tolist())))
+        query = write_csv(tmp_path / "q.csv", "i_1\n" + "".join(
+            f"{a!r}\n" for a in xq.tolist()))
+        config = write_config(tmp_path / "c.json", {
+            "kernel": {"family": "matern52", "lengthscale": 1.0}, "samples": 300})
+        shapes = self.check(tmp_path, monkeypatch, ["condition", "--config", config,
+                                                    "--data", data, "--query", query])
+        assert (300, 120) in shapes and 300 * 120 >= cli._SMALL_TABLE
+
+    def check(self, tmp_path, monkeypatch, argv):
         written = []
         format_csv = cli._format_csv
 
         def recorded(header, rows):
             text = format_csv(header, rows)
             written.append((text, np.atleast_2d(rows).copy()))
+            assert text == format_csv_cellwise(header, rows)
             return text
 
         monkeypatch.setattr(cli, "_format_csv", recorded)
         out = tmp_path / "out"
-        assert run_cli([command, "--config", config, "--data", data,
-                        "--query", query, "--out", out]) == 0
+        assert run_cli([*argv, "--out", out]) == 0
         files = sorted(out.glob("*.csv"))
         assert sorted(f.read_text() for f in files) == sorted(text for text, _ in written)
         for text, rows in written:
@@ -334,6 +422,7 @@ class TestCsvOutputsRoundTrip:
             parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
             assert parsed.shape == rows.shape
             assert np.array_equal(parsed.view(np.int64), rows.view(np.int64))
+        return [rows.shape for _, rows in written]
 
 
 class TestKrigeCommand:

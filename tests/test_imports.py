@@ -54,8 +54,10 @@ def test_no_function_takes_a_model_and_its_estimator():
 
 
 def test_import_leaves_scipy_unloaded():
+    # fractions and decimal too: the float writer's tables are built from ints
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = "import sys, olskit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = ("import sys, olskit, olskit.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'fractions', 'decimal', '_decimal')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

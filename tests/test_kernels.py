@@ -91,6 +91,40 @@ class TestKernelEval:
             KernelSpec("se", output_dim=2, coregionalization=[[1.0]])
 
 
+class TestSpecValue:
+    """Specs compare and hash by value, mixing matrix included."""
+
+    B = np.array([[2.0, 1.0], [1.0, 1.0]])
+
+    def test_equal_mixing_matrices(self):
+        a = KernelSpec("se", output_dim=2, coregionalization=self.B)
+        b = KernelSpec("se", output_dim=2, coregionalization=self.B.copy())
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_signed_zero_entries_hash_alike(self):
+        a = KernelSpec("se", output_dim=2, coregionalization=[[1.0, -0.0], [-0.0, 1.0]])
+        b = KernelSpec("se", output_dim=2, coregionalization=np.eye(2))
+        assert a == b and hash(a) == hash(b)
+
+    def test_different_specs_differ(self):
+        base = KernelSpec("se", output_dim=2, coregionalization=self.B)
+        others = [KernelSpec("se", output_dim=2),
+                  KernelSpec("se", output_dim=2, coregionalization=2.0 * self.B),
+                  KernelSpec("matern52", output_dim=2, coregionalization=self.B),
+                  KernelSpec("se", lengthscale=2.0, output_dim=2, coregionalization=self.B)]
+        for other in others:
+            assert base != other and other != base
+        assert base != "se"
+
+    def test_specs_without_mixing_matrix(self):
+        assert KernelSpec("se", lengthscale=0.5) == KernelSpec("rbf", lengthscale=0.5)
+        assert hash(KernelSpec("wendland", support_radius=2.0)) == hash(
+            KernelSpec("wendland", support_radius=2.0))
+        assert KernelSpec("se") != KernelSpec("se", variance=2.0)
+
+
 class TestGram:
     def test_single_point(self):
         g = gram(KernelSpec("se", variance=2.5), [[0.7]])
