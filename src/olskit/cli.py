@@ -7,9 +7,11 @@ Usage:
 
 Commands map one-to-one onto library operations: ``krige``,
 ``classify-svm``, ``classify-fuzzy``, ``condition`` (posterior sampling),
-and ``verify {gmt|disintegration|uii|entropy|continuity}``.  Exit code 0
-means the run passed, 1 means a verification or numerical gate failed, 2
-means bad input.
+and ``verify {gmt|disintegration|uii|entropy|continuity}``.  One table,
+``_COMMANDS``, gives each data command its runner and help line; ``run``
+dispatches on it and ``_build_parser`` builds the subcommands from it.
+Exit code 0 means the run passed, 1 means a verification or numerical
+gate failed, 2 means bad input.
 
 Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
@@ -33,7 +35,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -285,28 +287,16 @@ _BLOCK_DEFAULTS = {
 
 @dataclass(frozen=True)
 class Config:
-    """Validated run configuration with every default made explicit."""
+    """Validated run configuration with every default made explicit; ``spec``
+    and ``tol`` are built once from ``kernel`` and ``tolerances``."""
 
     kernel: dict
     seed: int
     tolerances: dict
     samples: int
-    blocks: dict = field(default_factory=dict)
-
-    def kernel_spec(self) -> KernelSpec:
-        k = self.kernel
-        return KernelSpec(
-            family=k["family"],
-            lengthscale=k["lengthscale"],
-            variance=k["variance"],
-            output_dim=k["output_dim"],
-            coregionalization=k["coregionalization"],
-            degree=k["degree"],
-            support_radius=k["support_radius"],
-        )
-
-    def tolerance(self) -> Tolerance:
-        return Tolerance(self.tolerances["rcond"], self.tolerances["abs_psd"])
+    blocks: dict
+    spec: KernelSpec
+    tol: Tolerance
 
     def to_dict(self) -> dict:
         return {
@@ -326,6 +316,8 @@ def _require(cond: bool, path: str, message: str) -> None:
 def _as_number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              path, f"expected a number, got {value!r}")
+    # exact for ints too, so an integer beyond the float range is refused
+    _require(abs(value) <= sys.float_info.max, path, f"must be finite, got {value!r}")
     return float(value)
 
 
@@ -391,14 +383,13 @@ def config_from_dict(raw: dict) -> Config:
     _as_int(blocks["svm"]["max_iter"], "svm.max_iter", 1)
     _as_number(blocks["fuzzy"]["prior"], "fuzzy.prior")
 
-    config = Config(kernel=kernel, seed=raw["seed"], tolerances=tolerances,
-                    samples=samples, blocks=blocks)
     try:
-        config.kernel_spec()
-        config.tolerance()
+        spec = KernelSpec(**kernel)
+        tol = Tolerance(**tolerances)
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
-    return config
+    return Config(kernel=kernel, seed=raw["seed"], tolerances=tolerances,
+                  samples=samples, blocks=blocks, spec=spec, tol=tol)
 
 
 def parse_config(path: str) -> Config:
@@ -503,8 +494,9 @@ def _format_csv(header: list[str], rows: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _merge_design_points(query: np.ndarray, observed: np.ndarray):
-    """Query points first, then observed points not already present."""
+def _design(config: Config, query: np.ndarray, observed: np.ndarray):
+    """The design of query points first, then observed points not already
+    present, and the design index of each observed point."""
     if query.shape[1] != observed.shape[1]:
         raise ValueError(
             f"index dimension mismatch: {query.shape[1]} vs {observed.shape[1]}"
@@ -514,7 +506,7 @@ def _merge_design_points(query: np.ndarray, observed: np.ndarray):
     points = np.vstack([query] + ([np.array(extra)] if extra else []))
     index_of = {tuple(row): i for i, row in enumerate(points)}
     observed_idx = [index_of[tuple(row)] for row in observed]
-    return points, observed_idx
+    return ArrayDesign(points, config.spec, tol=config.tol), observed_idx
 
 
 def _point_header(d: int, q: int) -> list[str]:
@@ -523,13 +515,13 @@ def _point_header(d: int, q: int) -> list[str]:
     ]
 
 
-def _run_krige(config: Config, data: IndexedDataset,
-               query: IndexedDataset) -> tuple[dict, dict]:
-    spec = config.kernel_spec()
+def _run_krige(config: Config, data: IndexedDataset, query: IndexedDataset,
+               seed: int) -> tuple[dict, dict]:
+    spec = config.spec
     if data.values is None:
         raise CsvError("krige requires value columns in the data file")
-    points, observed_idx = _merge_design_points(query.points, data.points)
-    design = ArrayDesign(points, spec, tol=config.tolerance())
+    design, observed_idx = _design(config, query.points, data.points)
+    points = design.index_points
     result = krige(design, observed_idx, data.values,
                    project=config.blocks["krige"]["project"])
     reproduction = float(
@@ -559,11 +551,10 @@ def _split_labels(data: IndexedDataset):
     return data.points[labels == 0.0], data.points[labels == 1.0]
 
 
-def _run_classify_svm(config: Config, data: IndexedDataset,
-                      query: IndexedDataset) -> tuple[dict, dict]:
-    spec = config.kernel_spec()
+def _run_classify_svm(config: Config, data: IndexedDataset, query: IndexedDataset,
+                      seed: int) -> tuple[dict, dict]:
     d0, d1 = _split_labels(data)
-    problem = SvmProblem(spec, d0, d1, tol=config.tolerance())
+    problem = SvmProblem(config.spec, d0, d1, tol=config.tol)
     block = config.blocks["svm"]
     model = svm_train(problem, tol=float(block["tol"]),
                       max_iter=block["max_iter"])
@@ -596,19 +587,16 @@ def _run_classify_svm(config: Config, data: IndexedDataset,
         g_query = decision_values(model, problem, query.points)
         labels = (g_query >= 0.0).astype(float)
         table = np.hstack([query.points, g_query[:, None], labels[:, None]])
-        header = [f"i_{k}" for k in range(1, query.points.shape[1] + 1)]
-        files["predictions.csv"] = _format_csv(header + ["decision", "label"], table)
+        header = _point_header(query.points.shape[1], 0) + ["decision", "label"]
+        files["predictions.csv"] = _format_csv(header, table)
     return {"metrics": metrics, "flags": flags}, files
 
 
-def _run_classify_fuzzy(config: Config, data: IndexedDataset,
-                        query: IndexedDataset) -> tuple[dict, dict]:
-    spec = config.kernel_spec()
+def _run_classify_fuzzy(config: Config, data: IndexedDataset, query: IndexedDataset,
+                        seed: int) -> tuple[dict, dict]:
     d0, d1 = _split_labels(data)
-    points, observed_idx = _merge_design_points(
-        query.points, np.vstack([d0, d1])
-    )
-    design = ArrayDesign(points, spec, tol=config.tolerance())
+    design, observed_idx = _design(config, query.points, np.vstack([d0, d1]))
+    points = design.index_points
     idx0 = observed_idx[: len(d0)]
     idx1 = observed_idx[len(d0):]
     lam = fuzzy_classify(design, idx0, idx1,
@@ -622,18 +610,17 @@ def _run_classify_fuzzy(config: Config, data: IndexedDataset,
         "reproduction_max_error": reproduction,
     }
     flags = {"labels_reproduced": reproduction <= 1e-8}
-    header = [f"i_{k}" for k in range(1, points.shape[1] + 1)] + ["lambda"]
+    header = _point_header(points.shape[1], 0) + ["lambda"]
     files = {"predictions.csv": _format_csv(header, np.hstack([points, lam[:, None]]))}
     return {"metrics": metrics, "flags": flags}, files
 
 
 def _run_condition(config: Config, data: IndexedDataset, query: IndexedDataset,
                    seed: int) -> tuple[dict, dict]:
-    spec = config.kernel_spec()
     if data.values is None:
         raise CsvError("condition requires value columns in the data file")
-    points, observed_idx = _merge_design_points(query.points, data.points)
-    design = ArrayDesign(points, spec, tol=config.tolerance())
+    design, observed_idx = _design(config, query.points, data.points)
+    points = design.index_points
     model = model_from_design(design)
     obs = restriction_map(design, observed_idx)
     cond = conditional_gaussian(model, obs, data.values.ravel())
@@ -648,10 +635,10 @@ def _run_condition(config: Config, data: IndexedDataset, query: IndexedDataset,
         "posterior_mean_norm": float(np.linalg.norm(cond.mean)),
     }
     flags = {"samples_on_fiber": fiber <= 1e-8}
-    mean_table = np.hstack([points, cond.mean.reshape(points.shape[0], spec.q)])
+    mean_table = np.hstack([points, cond.mean.reshape(points.shape[0], config.spec.q)])
     files = {
         "posterior_mean.csv": _format_csv(
-            _point_header(points.shape[1], spec.q), mean_table
+            _point_header(points.shape[1], config.spec.q), mean_table
         ),
         "samples.csv": _format_csv(
             [f"c_{k}" for k in range(1, model.n + 1)], draws
@@ -660,44 +647,44 @@ def _run_condition(config: Config, data: IndexedDataset, query: IndexedDataset,
     return {"metrics": metrics, "flags": flags}, files
 
 
+def _run_verify(config: Config, target: str, seed: int) -> tuple[dict, dict]:
+    if target not in VERIFY_TARGETS:
+        raise ConfigError(
+            f"verify target must be one of {sorted(VERIFY_TARGETS)}, got {target!r}"
+        )
+    kwargs = {"n_samples": config.samples} if target == "disintegration" else {}
+    body = VERIFY_TARGETS[target](seed=seed, **kwargs)
+    return {"metrics": {k: v for k, v in body.items() if k != "passed"},
+            "flags": {"passed": body["passed"]}}, {}
+
+
+# name -> (runner, help); ``verify <target>`` runs as ``verify:<target>``
+_COMMANDS = {
+    "krige": (_run_krige, "predict an array from observations"),
+    "classify-svm": (_run_classify_svm, "max-margin classification"),
+    "classify-fuzzy": (_run_classify_fuzzy, "soft labels by kriging"),
+    "condition": (_run_condition, "posterior sampling on the fiber"),
+}
+
+
 def run(command: str, config: Config, inputs: dict, out_dir: str,
         seed: int | None = None) -> tuple[dict, int]:
     """Execute a command and write its report and outputs atomically.
 
-    Returns (report, exit_code).
+    Nothing is written unless the report serializes.  Returns (report, exit_code).
     """
     started = time.monotonic()
     seed = config.seed if seed is None else seed
     os.makedirs(out_dir, exist_ok=True)
 
     data = inputs.get("data")
-    query = inputs.get("query")
     d = data.points.shape[1] if data is not None else 1
-    empty = IndexedDataset(np.zeros((0, d)))
+    query = inputs.get("query") or IndexedDataset(np.zeros((0, d)))
 
-    if command == "krige":
-        body, files = _run_krige(config, data, query or empty)
-    elif command == "classify-svm":
-        body, files = _run_classify_svm(config, data, query or empty)
-    elif command == "classify-fuzzy":
-        body, files = _run_classify_fuzzy(config, data, query or empty)
-    elif command == "condition":
-        body, files = _run_condition(config, data, query or empty, seed)
-    elif command.startswith("verify:"):
-        target = command.split(":", 1)[1]
-        if target not in VERIFY_TARGETS:
-            raise ConfigError(
-                f"verify target must be one of {sorted(VERIFY_TARGETS)}, got {target!r}"
-            )
-        kwargs = {"seed": seed}
-        if target == "disintegration":
-            kwargs["n_samples"] = config.samples
-        report_body = VERIFY_TARGETS[target](**kwargs)
-        body = {
-            "metrics": {k: v for k, v in report_body.items() if k != "passed"},
-            "flags": {"passed": report_body["passed"]},
-        }
-        files = {}
+    if command.startswith("verify:"):
+        body, files = _run_verify(config, command.split(":", 1)[1], seed)
+    elif command in _COMMANDS:
+        body, files = _COMMANDS[command][0](config, data, query, seed)
     else:
         raise ConfigError(f"unknown command {command!r}")
 
@@ -715,9 +702,9 @@ def run(command: str, config: Config, inputs: dict, out_dir: str,
         "flags": body["flags"],
         "passed": passed,
     }
+    files["report.json"] = canonical_json(report)
     for name, text in files.items():
         atomic_write(os.path.join(out_dir, name), text)
-    atomic_write(os.path.join(out_dir, "report.json"), canonical_json(report))
     elapsed_ms = 1000.0 * (time.monotonic() - started)
     print(f"{command}: wrote {out_dir} in {elapsed_ms:.1f} ms", file=sys.stderr)
     return report, 0 if passed else 1
@@ -733,26 +720,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=False, query=False):
+    def add_common(p, inputs):
         p.add_argument("--config", required=True, help="JSON configuration file")
-        if data:
+        if inputs:
             p.add_argument("--data", required=True, help="observed CSV data")
-        if query:
             p.add_argument("--query", help="query CSV points")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
 
-    add_common(sub.add_parser("krige", help="predict an array from observations"),
-               data=True, query=True)
-    add_common(sub.add_parser("classify-svm", help="max-margin classification"),
-               data=True, query=True)
-    add_common(sub.add_parser("classify-fuzzy", help="soft labels by kriging"),
-               data=True, query=True)
-    add_common(sub.add_parser("condition", help="posterior sampling on the fiber"),
-               data=True, query=True)
+    for name, (_runner, help_text) in _COMMANDS.items():
+        add_common(sub.add_parser(name, help=help_text), inputs=True)
     verify = sub.add_parser("verify", help="run a built-in verification fixture")
     verify.add_argument("target", choices=sorted(VERIFY_TARGETS))
-    add_common(verify)
+    add_common(verify, inputs=False)
     return parser
 
 

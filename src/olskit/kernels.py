@@ -100,18 +100,22 @@ class KernelSpec:
         if key is None:
             raise ValueError(f"unknown kernel family {self.family!r}")
         object.__setattr__(self, "family", key)
-        if not self.lengthscale > 0.0:
-            raise ValueError("lengthscale must be > 0")
-        if not self.variance > 0.0:
-            raise ValueError("variance must be > 0")
-        if int(self.output_dim) < 1:
+        for name in ("lengthscale", "variance"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        for name in ("output_dim", "degree"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.output_dim < 1:
             raise ValueError("output_dim must be >= 1")
-        object.__setattr__(self, "output_dim", int(self.output_dim))
-        if key == "polynomial" and int(self.degree) < 1:
+        if key == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
-        if key == "wendland":
-            if self.support_radius is None or not self.support_radius > 0.0:
-                raise ValueError("wendland kernel requires support_radius > 0")
+        if self.support_radius is not None and not 0.0 < self.support_radius < np.inf:
+            raise ValueError("support_radius must be finite and > 0")
+        if key == "wendland" and self.support_radius is None:
+            raise ValueError("wendland kernel requires support_radius > 0")
         if key == "custom" and self.eval_hook is None:
             raise ValueError("custom kernel requires an eval_hook")
         if self.coregionalization is not None:

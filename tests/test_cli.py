@@ -1,8 +1,10 @@
+import argparse
 import json
 import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from olskit.cli import (
     parse_config,
     serialize_config,
 )
+from olskit.kernels import KernelSpec
+from olskit.linalg import Tolerance
+from olskit.verify import VERIFY_TARGETS
 
 from helpers import (
     blobs_2d,
@@ -96,6 +101,27 @@ class TestConfig:
         code = run_cli(["verify", "uii", "--config", config, "--out", tmp_path / "out"])
         assert code == 2
         assert f"error: {path}: must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("path, raw", [
+        ("kernel.lengthscale", {"kernel": {"family": "se", "lengthscale": None}}),
+        ("kernel.variance", {"kernel": {"family": "se", "variance": None}}),
+        ("kernel.support_radius",
+         {"kernel": {"family": "wendland", "support_radius": None}}),
+        ("svm.tol", {**MINIMAL, "svm": {"tol": None}}),
+        ("fuzzy.prior", {**MINIMAL, "fuzzy": {"prior": None}}),
+    ])
+    def test_non_finite_number_names_field(self, path, raw, token):
+        # the json module reads NaN, Infinity and -Infinity as floats
+        block, key = path.split(".")
+        raw = {"seed": 0, **raw, block: {**raw[block], key: json.loads(token)}}
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be finite"):
+            config_from_dict(raw)
+
+    def test_integer_beyond_float_range_names_field(self):
+        raw = {**MINIMAL, "svm": {"tol": 10 ** 400}}
+        with pytest.raises(ConfigError, match=r"^svm\.tol: must be finite"):
+            config_from_dict(raw)
 
     def test_valid_block_fields_kept_as_given(self):
         blocks = {"krige": {"project": True}, "svm": {"tol": 1, "max_iter": 5},
@@ -723,3 +749,68 @@ class TestParserReuse:
         assert "arguments are required: --data" in reused[1][1]
         assert reused[0][2] and reused[2][2]
         assert reused == fresh
+
+
+class TestFailedRunWritesNothing:
+    def test_non_finite_config_exits_before_any_output(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"kernel": {"family": "se"}, "seed": 0, '
+                          '"fuzzy": {"prior": NaN}}')
+        data = write_csv(tmp_path / "d.csv",
+                         "i_1,i_2,v_1\n0.0,0.0,0\n0.3,0.1,0\n3.0,3.0,1\n3.2,2.8,1\n")
+        out = tmp_path / "out"
+        assert run_cli(["classify-svm", "--config", config, "--data", data,
+                        "--out", out]) == 2
+        assert capsys.readouterr().err == "error: fuzzy.prior: must be finite, got nan\n"
+        assert not out.exists()  # the config is refused before run() starts
+
+    def test_unwritable_report_leaves_outputs_unwritten(self, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.setattr(cli, "entropy_integral", lambda *args: float("nan"))
+        config = write_config(tmp_path / "c.json")
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0.0,0.3\n1.0,0.7\n")
+        out = tmp_path / "out"
+        assert run_cli(["krige", "--config", config, "--data", data,
+                        "--out", out]) == 2
+        assert capsys.readouterr().err == "error: reports must not contain non-finite numbers\n"
+        assert out.is_dir() and not list(out.iterdir())
+
+
+class TestConfigBuiltOnce:
+    @pytest.mark.parametrize("command", ["krige", "condition", "classify-fuzzy",
+                                         "classify-svm"])
+    def test_kernel_and_tolerance_built_once_per_run(self, tmp_path, monkeypatch,
+                                                     command):
+        config = write_config(tmp_path / "c.json", {"samples": 20})
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0.0,0\n1.0,1\n")
+        query = write_csv(tmp_path / "q.csv", "i_1\n0.25\n0.5\n")
+        calls = {KernelSpec: 0, Tolerance: 0}
+        for cls in calls:
+            def counted(self, post_init=cls.__post_init__, cls=cls):
+                calls[cls] += 1
+                post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert run_cli([command, "--config", config, "--data", data,
+                        "--query", query, "--out", tmp_path / "out"]) == 0
+        assert calls == {KernelSpec: 1, Tolerance: 1}
+
+
+class TestCommandList:
+    def test_parser_follows_the_command_table(self):
+        (action,) = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        subcommands = action.choices
+        assert set(subcommands) == set(cli._COMMANDS) | {"verify"}
+        (target,) = [a for a in subcommands["verify"]._actions if a.dest == "target"]
+        assert target.choices == sorted(VERIFY_TARGETS)
+
+    def test_readme_names_every_command_and_target(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = readme.split("\nCommands:", 1)[1].split("\n\n", 1)[0]
+        names = re.findall(r"`([^`]+)`", paragraph)
+        verify = [name for name in names if name.startswith("verify ")]
+        assert len(verify) == 1
+        targets = re.fullmatch(r"verify \{([a-z|]+)\}", verify[0]).group(1).split("|")
+        assert sorted(targets) == sorted(VERIFY_TARGETS)
+        commands = {name for name in names if name not in verify}
+        assert commands == set(cli._COMMANDS)

@@ -90,6 +90,24 @@ class TestKernelEval:
         with pytest.raises(ValueError, match="output_dim"):
             KernelSpec("se", output_dim=2, coregionalization=[[1.0]])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"family": "polynomial", "degree": 1.5}, "degree must be an integer"),
+        ({"family": "polynomial", "degree": True}, "degree must be an integer"),
+        ({"family": "se", "output_dim": 2.5}, "output_dim must be an integer"),
+        ({"family": "se", "output_dim": True}, "output_dim must be an integer"),
+        ({"family": "se", "lengthscale": np.inf}, "lengthscale must be finite"),
+        ({"family": "se", "variance": np.inf}, "variance must be finite"),
+        ({"family": "wendland", "support_radius": np.inf}, "support_radius must be finite"),
+    ])
+    def test_non_integer_or_infinite_hyperparameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            KernelSpec(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        spec = KernelSpec("polynomial", degree=np.int64(3), output_dim=np.int32(2))
+        assert (spec.degree, spec.output_dim) == (3, 2)
+        assert type(spec.degree) is int and type(spec.output_dim) is int
+
 
 class TestSpecValue:
     """Specs compare and hash by value, mixing matrix included."""
