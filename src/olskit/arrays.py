@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, _locate, as_points, gram
+from .kernels import KernelSpec, _first_rows, _locate, as_points, gram
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, matrix_rank
 from .model import FiniteModel, ObservationMap, ols_build, ols_estimate
 
@@ -33,8 +33,7 @@ class ArrayDesign:
         pts = as_points(self.index_points, "index_points")
         if pts.shape[0] == 0:
             raise ValueError("design needs at least one index point")
-        uniq = {tuple(row) for row in pts}
-        if len(uniq) != pts.shape[0]:
+        if np.any(_first_rows(pts) != np.arange(pts.shape[0])):
             raise ValueError("design index points must be distinct")
         object.__setattr__(self, "index_points", pts)
 
@@ -169,7 +168,7 @@ def krige(design: ArrayDesign, observed: Sequence[int], values,
         # truncation so inconsistent data still raises a support violation
         cols = _value_columns(design, idx)
         s = model.cov[np.ix_(cols, cols)]  # G K G^T, read by index
-        w = np.linalg.eigvalsh(0.5 * (s + s.T))
+        w = np.linalg.eigvalsh(s)  # s is exactly symmetric, as K is
         if matrix_rank(s, design.tol) == s.shape[0] and (
             w[0] <= 0.0 or w[-1] / w[0] > 1e12
         ):

@@ -45,6 +45,7 @@ from .disintegration import conditional_gaussian, stochastic_ols_sample
 from .kernels import (
     IndexedDataset,
     KernelSpec,
+    _first_rows,
     default_epsilon_grid,
     entropy_integral,
 )
@@ -496,17 +497,19 @@ def _format_csv(header: list[str], rows: np.ndarray) -> str:
 
 def _design(config: Config, query: np.ndarray, observed: np.ndarray):
     """The design of query points first, then observed points not already
-    present, and the design index of each observed point."""
+    present, and the design index of each observed point.  Points compare
+    by value (-0.0 equals 0.0), and an observed point that the query holds
+    keeps its query index."""
     if query.shape[1] != observed.shape[1]:
         raise ValueError(
             f"index dimension mismatch: {query.shape[1]} vs {observed.shape[1]}"
         )
-    seen = {tuple(row) for row in query}
-    extra = [row for row in observed if tuple(row) not in seen]
-    points = np.vstack([query] + ([np.array(extra)] if extra else []))
-    index_of = {tuple(row): i for i, row in enumerate(points)}
-    observed_idx = [index_of[tuple(row)] for row in observed]
-    return ArrayDesign(points, config.spec, tol=config.tol), observed_idx
+    n = query.shape[0]
+    observed_idx = _first_rows(np.vstack([query, observed]))[n:]
+    extra = observed_idx >= n  # observed points the query lacks
+    observed_idx[extra] = n + np.arange(np.count_nonzero(extra))
+    points = np.vstack([query, observed[extra]])
+    return ArrayDesign(points, config.spec, tol=config.tol), observed_idx.tolist()
 
 
 def _point_header(d: int, q: int) -> list[str]:

@@ -15,6 +15,7 @@ estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -161,6 +162,18 @@ def _row_blocks(n: int, m: int) -> tuple[int, list[slice]]:
     return min(step, n), [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def _triangle_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) whose blocks [lo:hi, :hi] tile the lower triangle
+    of an n x n array, each of at most ``_BLOCK`` entries (at least one row)."""
+    blocks, lo = [], 0
+    while lo < n:
+        # the largest k with k (lo + k) <= _BLOCK
+        k = max(1, (math.isqrt(lo * lo + 4 * _BLOCK) - lo) // 2)
+        blocks.append((lo, min(lo + k, n)))
+        lo = blocks[-1][1]
+    return blocks
+
+
 def _squared_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray,
                        diff: np.ndarray) -> None:
     """Pairwise squared distances into ``out``, summed from coordinate differences.
@@ -231,6 +244,44 @@ def _stationary_block(spec: KernelSpec, out: np.ndarray, a: np.ndarray,
     out *= a
 
 
+def _triangle_pass(spec: KernelSpec, x: np.ndarray, metric: bool) -> np.ndarray:
+    """Stationary kernel matrix of the rows of x against themselves, or with
+    ``metric`` their sqrt(t_c) distances, evaluated on the lower triangle.
+
+    (x_a - x_b)^2 is exactly (x_b - x_a)^2 and every later step is
+    elementwise, so both triangles hold the same bits: each block
+    [lo:hi, :hi] is computed in contiguous scratch, written once and
+    mirrored once.  A set small enough for one block is computed in the
+    output itself, so it takes no more scratch than ``scalar_kernel``'s
+    rectangular pass.  The distances sqrt(max((s_aa + s_bb) - 2 s_ab, 0)) are
+    finished in the same pass, with s_aa read from the diagonals of the
+    blocks done so far, so no n x n kernel matrix is kept beside them.
+    """
+    n = x.shape[0]
+    blocks = _triangle_blocks(n)
+    size = max(((hi - lo) * hi for lo, hi in blocks), default=0)
+    out = np.empty((n, n))
+    whole = len(blocks) <= 1  # one block is all of out, contiguous already
+    c = out.reshape(-1) if whole else np.empty(size)
+    a, b = np.empty(size), np.empty(size)
+    diag = np.empty(n) if metric else None
+    for lo, hi in blocks:
+        blk, ta, tb = (buf[:(hi - lo) * hi].reshape(hi - lo, hi) for buf in (c, a, b))
+        _squared_distances(x[lo:hi], x[:hi], blk, ta)
+        _stationary_block(spec, blk, ta, tb)
+        if metric:
+            diag[lo:hi] = blk[:, lo:].diagonal()
+            np.add.outer(diag[lo:hi], diag[:hi], out=ta)  # ta is free again
+            blk *= 2.0
+            np.subtract(ta, blk, out=blk)
+            np.maximum(blk, 0.0, out=blk)
+            np.sqrt(blk, out=blk)
+        if not whole:
+            out[lo:hi, :hi] = blk
+            out[:lo, lo:hi] = blk[:, :lo].T
+    return out
+
+
 def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
     """Scalar kernel values between the rows of x and of y, as an (n, m) array.
 
@@ -238,9 +289,11 @@ def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
     straight into the one (n, m) output, with two block-sized scratch
     buffers, so a pass stays in cache.  Every step is elementwise and keeps
     the operation order of its family's closed form, so each value is
-    bitwise the one that closed form gives, whatever the block size.
+    bitwise the one that closed form gives, whatever the block size.  A
+    point set against itself (the same array as x and y) is evaluated on
+    the lower triangle only and mirrored, which gives the same bits.
     Dot-product families take one ``x @ y.T`` product and finish it in
-    place.
+    place; it is not bitwise symmetric, so they take it for x against x too.
     """
     x = as_points(x, "x")
     y = as_points(y, "y")
@@ -261,6 +314,8 @@ def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
         return out
     if spec.family not in _STATIONARY:
         raise ValueError(f"scalar form undefined for family {spec.family!r}")
+    if y is x:
+        return _triangle_pass(spec, x, metric=False)
     n, m = x.shape[0], y.shape[0]
     rows_per_block, blocks = _row_blocks(n, m)
     out = np.empty((n, m))
@@ -317,7 +372,9 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     The layout is ``cross_kernel``'s, and the matrix is returned as
     evaluated, neither symmetrized nor checked: ``FiniteModel`` is the one
     gate for a prior covariance, and it symmetrizes an asymmetry within
-    its floor or rejects one beyond it.
+    its floor or rejects one beyond it.  Stationary families evaluate the
+    lower triangle only (``scalar_kernel``), so their matrix is exactly
+    symmetric.
     """
     pts = as_points(points)
     if pts.shape[0] == 0:
@@ -375,6 +432,23 @@ class IndexedDataset:
             object.__setattr__(self, "values", v)
 
 
+def _first_rows(points: np.ndarray) -> np.ndarray:
+    """Index of the first row equal to each row of an (n, d) array.
+
+    Rows compare by value, so -0.0 equals 0.0.  One stable lexsort puts
+    equal rows next to each other in index order, and comparing neighbours
+    finds each run of equal rows and its first member.
+    """
+    n = points.shape[0]
+    order = np.lexsort(points.T[::-1]) if points.shape[1] else np.arange(n)
+    ranked = points[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.empty(n, dtype=np.intp)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
 def _locate(point, table: np.ndarray, missing: str) -> int:
     """Exact-match row of ``point`` in ``table``; ``missing`` ends the error."""
     target = np.atleast_1d(np.asarray(point, dtype=float))
@@ -430,13 +504,18 @@ def metric_matrix(spec: KernelSpec, points, covalue=None) -> np.ndarray:
     index space; for q = 1 the unit co-value is implied.
 
     With s the pulled-back kernel matrix, the distance is
-    sqrt(max((s_aa + s_bb) - 2 s_ab, 0)).  The diagonal is read first; then
-    each row block of s is overwritten with its distances, so the only
-    n x n array is s itself.
+    sqrt(max((s_aa + s_bb) - 2 s_ab, 0)).  A stationary family with the
+    unit co-value and no mixing matrix computes each block of s on the
+    lower triangle and turns it into distances in the same pass.  Every
+    other kernel builds s first, reads its diagonal, and overwrites each
+    row block of s with its distances.  Either way the only n x n array is
+    the result.
     """
     pts = as_points(points)
     if spec.q > 1 and covalue is None:
         raise ValueError("metric_matrix needs an explicit covalue when q > 1")
+    if spec.family in _STATIONARY and covalue is None and spec.coregionalization is None:
+        return _triangle_pass(spec, pts, metric=True)
     n, q = pts.shape[0], spec.q
     c = cross_kernel(spec, pts, pts)
     if q == 1 and covalue is None:
@@ -471,15 +550,18 @@ def _cover_radii(dist: np.ndarray, start: int, eps_min: float) -> np.ndarray:
     do not depend on eps, so N(eps), the first k with r_k <= eps, can be
     read off for every eps at once.  The sweep stops at the first radius
     <= ``eps_min``, so the last entry answers the smallest eps asked for.
+    Each centre is a new point, so there are at most n radii, the last of
+    them 0 once every point is a centre; they fill one preallocated array.
     """
     nearest = dist[start].copy()
-    radii = []
-    while True:
-        far = int(np.argmax(nearest))
-        radii.append(float(nearest[far]))
-        if radii[-1] <= eps_min:
-            return np.array(radii)
+    radii = np.empty(nearest.size)
+    for k in range(nearest.size):
+        far = nearest.argmax()
+        radii[k] = nearest[far]
+        if radii[k] <= eps_min:
+            return radii[:k + 1]
         np.minimum(nearest, dist[far], out=nearest)
+    return radii
 
 
 def covering_number(spec: KernelSpec, points, eps: float, covalue=None) -> int:

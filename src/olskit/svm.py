@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import KernelSpec, as_points, cross_kernel
+from .kernels import KernelSpec, _first_rows, as_points, cross_kernel
 from .linalg import DEFAULT_TOL, Tolerance, check_psd
 
 
@@ -63,8 +63,7 @@ class SvmProblem:
             raise ValueError("both labeled sets must be nonempty")
         if p0.shape[1] != p1.shape[1]:
             raise ValueError("labeled sets have different index dimensions")
-        set0 = {tuple(row) for row in p0}
-        if any(tuple(row) in set0 for row in p1):
+        if np.any(_first_rows(np.vstack([p0, p1]))[p0.shape[0]:] < p0.shape[0]):
             raise ValueError("labeled sets must be disjoint")
         object.__setattr__(self, "d0", p0)
         object.__setattr__(self, "d1", p1)
@@ -83,7 +82,10 @@ class SvmProblem:
         n1 = self.d1.shape[0]
         q[:n1, n1:] *= -1.0
         q[n1:, :n1] *= -1.0
-        uniq = list({tuple(row): a for a, row in enumerate(pts)}.values())
+        # the last index of each distinct point, in first-occurrence order
+        n = pts.shape[0]
+        last = n - 1 - _first_rows(pts[::-1])[::-1]
+        uniq = last[_first_rows(pts) == np.arange(n)]
         gate = check_psd(q[np.ix_(uniq, uniq)], self.tol, "kernel gram", values=True)
         if gate.values[0] <= gate.floor:
             warnings.warn(

@@ -258,6 +258,36 @@ def einsum_metric_matrix(blocks: np.ndarray, covalue: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(diag[:, None] + diag[None, :] - 2.0 * s, 0.0))
 
 
+def symmetric_kernel_oracle(spec, x: np.ndarray, metric: bool) -> np.ndarray:
+    """A stationary kernel's matrix of x against itself, or with ``metric``
+    its sqrt(t_c) distances, as whole-array closed-form expressions."""
+    s = closed_form_kernel(spec.family, x, x, spec.variance, spec.lengthscale,
+                           spec.degree, spec.support_radius)
+    return einsum_metric_matrix(s, 1.0) if metric else s
+
+
+def first_rows_tuples(points: np.ndarray) -> np.ndarray:
+    """Index of the first row equal to each row, keyed by Python tuples."""
+    first: dict[tuple, int] = {}
+    return np.array([first.setdefault(tuple(row), a) for a, row in enumerate(points)],
+                    dtype=np.intp)
+
+
+def design_points_tuples(query: np.ndarray, observed: np.ndarray):
+    """Query points, then the observed points the query lacks, and the
+    position of each observed point in that list, keyed by Python tuples."""
+    seen = {tuple(row) for row in query}
+    extra = [row for row in observed if tuple(row) not in seen]
+    points = np.vstack([query] + ([np.array(extra)] if extra else []))
+    index_of = {tuple(row): i for i, row in enumerate(points)}
+    return points, [index_of[tuple(row)] for row in observed]
+
+
+def distinct_rows_last_tuples(points: np.ndarray) -> list[int]:
+    """The last index of each distinct row, in first-occurrence order."""
+    return list({tuple(row): a for a, row in enumerate(points)}.values())
+
+
 def first_significant_positive(vecs: np.ndarray) -> np.ndarray:
     """Column loop: negate a column whose first entry above 1e-12 max(1, max|col|) is < 0."""
     out = vecs.copy()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from olskit import kernels
 from olskit.arrays import (
     ArrayDesign,
     TransformSpec,
@@ -18,6 +19,8 @@ from olskit.model import (
     ols_build,
     operator_norm,
 )
+
+from helpers import first_rows_tuples
 
 
 def grid_design(n=5, ell=0.5, q=1, b=None, family="se"):
@@ -102,6 +105,24 @@ class TestModelFromDesign:
         assert sizes["eigvalsh"].count((n, n)) == 0
         assert sizes["eigh"].count((n, n)) == 0
         assert sizes["cholesky"].count((n, n)) == 1
+
+
+class TestRowKeys:
+    def test_first_rows_and_distinctness_match_tuple_oracle(self):
+        rng = np.random.default_rng(1620)
+        for _ in range(80):
+            n, d = int(rng.integers(0, 30)), int(rng.integers(0, 4))
+            pts = rng.integers(-2, 3, (n, d)) * 0.5
+            pts[rng.random((n, d)) < 0.3] *= -1.0  # -0.0 among the zeros
+            want = first_rows_tuples(pts)
+            assert np.array_equal(kernels._first_rows(pts), want)
+            if n == 0:
+                continue
+            if np.array_equal(want, np.arange(n)):
+                ArrayDesign(pts, KernelSpec("se"))
+            else:
+                with pytest.raises(ValueError, match="distinct"):
+                    ArrayDesign(pts, KernelSpec("se"))
 
 
 class TestRestrictionMap:

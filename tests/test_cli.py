@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from olskit import cli, kernels
+from olskit import arrays, cli, kernels, svm
 from olskit.cli import (
     ConfigError,
     CsvError,
@@ -30,7 +30,10 @@ from helpers import (
     blobs_2d,
     canonical_json_cellwise,
     closed_form_kernel,
+    design_points_tuples,
+    first_rows_tuples,
     format_csv_cellwise,
+    symmetric_kernel_oracle,
 )
 
 MINIMAL = {"kernel": {"family": "se", "lengthscale": 1.0, "variance": 1.0}, "seed": 0}
@@ -651,6 +654,119 @@ class TestIndexDimensions:
         assert load_csv(query).points.shape == (0, 2)
         assert run_cli(["krige", "--config", config, "--data", data,
                         "--query", query, "--out", tmp_path / "out"]) == 0
+
+
+def design_cases():
+    """Seeded query and observed point sets on a coarse grid: the sets
+    overlap, ties in the first coordinate abound, the observed rows are
+    shuffled, and the zeros of one file are -0.0."""
+    rng = np.random.default_rng(1616)
+    values = np.arange(-6, 7) * 0.5
+    for case in range(40):
+        d = 1 + case % 2
+        grid = np.stack(np.meshgrid(*[values] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        rows = grid[rng.permutation(len(grid))]
+        nq = int(rng.integers(0, 9))
+        overlap = int(rng.integers(0, nq + 1))
+        query = rows[:nq].copy()
+        observed = rows[nq - overlap: nq + int(rng.integers(1, 9))].copy()
+        observed = observed[rng.permutation(len(observed))]
+        signed = query if case % 4 < 2 else observed
+        signed[signed == 0.0] = -0.0
+        yield query, observed
+
+
+class TestDesignIndexing:
+    def test_matches_tuple_oracle(self):
+        config = config_from_dict(MINIMAL)
+        signed_zero_matches = 0
+        for query, observed in design_cases():
+            design, idx = cli._design(config, query, observed)
+            points, want = design_points_tuples(query, observed)
+            assert np.array_equal(design.index_points.view(np.int64),
+                                  points.view(np.int64))
+            assert idx == want
+            signed_zero_matches += sum(
+                np.array_equal(o, q) and o.tobytes() != q.tobytes()
+                for o in observed for q in query)
+        assert signed_zero_matches > 0
+
+    @pytest.mark.parametrize("command", ["krige", "condition"])
+    @pytest.mark.parametrize("query_rows, data_rows", [
+        (["0.5", "0.5"], ["0.0,1.0"]),
+        (["0.5"], ["0.0,1.0", "0.0,2.0"]),
+        (["0.0"], ["0.0,1.0", "-0.0,2.0"]),
+        (["-0.0", "0.0"], ["1.0,1.0"]),
+        (["0.5"], ["-0.0,1.0", "0.0,2.0"]),
+    ], ids=["query", "data", "data-in-query", "query-signed-zero", "data-signed-zero"])
+    def test_duplicate_point_exits_two(self, tmp_path, capsys, command,
+                                       query_rows, data_rows):
+        config = write_config(tmp_path / "c.json", {"samples": 10})
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n" + "\n".join(data_rows) + "\n")
+        query = write_csv(tmp_path / "q.csv", "i_1\n" + "\n".join(query_rows) + "\n")
+        code = run_cli([command, "--config", config, "--data", data,
+                        "--query", query, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "distinct" in capsys.readouterr().err
+
+
+class TestOutputBytesUnderOracles:
+    """Every output byte is the same with the triangle pass and the row-key
+    routine replaced by their closed-form and tuple oracles."""
+
+    def inputs(self, tmp_path, command):
+        rng = np.random.default_rng(1617)
+        if command == "classify-svm":
+            d0, d1 = blobs_2d(3, n_per_class=60)
+            rows = [f"{a!r},{b!r},{label}\n" for label, pts in ((0, d0), (1, d1))
+                    for a, b in pts.tolist()]
+            data = write_csv(tmp_path / "d.csv", "i_1,i_2,v_1\n" + "".join(rows))
+            query = write_csv(tmp_path / "q.csv", "i_1,i_2\n" + "".join(
+                f"{a!r},{b!r}\n" for a, b in rng.uniform(-1.0, 4.0, (400, 2)).tolist()))
+            return write_config(tmp_path / "c.json", {
+                "kernel": {"family": "se", "lengthscale": 0.5}}), data, query
+        if command == "krige":
+            # 500 points at spacing ~0.1, every fifth one observed
+            x = 0.1 * (np.arange(500) + rng.uniform(-0.2, 0.2, 500))
+            observed = np.arange(500) % 5 == 2
+            xo, xq, ell, extra = x[observed], x[~observed], 0.5, {}
+        else:
+            # 20 observed points, one per cell of width 0.5, and 100 queries
+            xo = 0.5 * (np.arange(20) + rng.uniform(0.2, 0.8, 20))
+            xq, ell, extra = rng.uniform(0.0, 10.0, 100), 1.0, {"samples": 300}
+        k = closed_form_kernel("matern52", xo[:, None], xo[:, None], 1.0, ell)
+        y = np.linalg.cholesky(k) @ rng.standard_normal(xo.size)
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n" + "".join(
+            f"{a!r},{v!r}\n" for a, v in zip(xo.tolist(), y.tolist())))
+        query = write_csv(tmp_path / "q.csv", "i_1\n" + "".join(
+            f"{a!r}\n" for a in xq.tolist()))
+        extra["kernel"] = {"family": "matern52", "lengthscale": ell}
+        return write_config(tmp_path / "c.json", extra), data, query
+
+    @pytest.mark.parametrize("command", ["krige", "condition", "classify-svm"])
+    def test_outputs_identical(self, tmp_path, monkeypatch, command):
+        config, data, query = self.inputs(tmp_path, command)
+        argv = [command, "--config", config, "--data", data, "--query", query]
+        assert run_cli([*argv, "--out", tmp_path / "shipped"]) == 0
+        calls = []
+
+        def counted(oracle):
+            def wrapped(*args, **kwargs):
+                calls.append(oracle.__name__)
+                return oracle(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(kernels, "_triangle_pass", counted(symmetric_kernel_oracle))
+        for module in (kernels, arrays, cli, svm):
+            monkeypatch.setattr(module, "_first_rows", counted(first_rows_tuples))
+        assert run_cli([*argv, "--out", tmp_path / "oracle"]) == 0
+        assert set(calls) == {"symmetric_kernel_oracle", "first_rows_tuples"}
+        shipped = sorted((tmp_path / "shipped").iterdir())
+        assert [p.name for p in shipped] == sorted(
+            p.name for p in (tmp_path / "oracle").iterdir())
+        for path in shipped:
+            assert path.read_bytes() == (tmp_path / "oracle" / path.name).read_bytes(), \
+                path.name
 
 
 class TestVerifyCommands:

@@ -29,6 +29,7 @@ from helpers import (
     exhaustive_min_cover,
     greedy_cover_count,
     greedy_entropy,
+    symmetric_kernel_oracle,
 )
 
 ALL_FAMILIES = [
@@ -40,6 +41,17 @@ ALL_FAMILIES = [
     KernelSpec("polynomial", lengthscale=1.0, variance=0.6, degree=3),
     KernelSpec("wendland", variance=1.0, support_radius=2.5),
 ]
+
+STATIONARY = [spec for spec in ALL_FAMILIES if spec.family not in ("linear", "polynomial")]
+
+
+def closed_form_blocks(spec, x):
+    """``gram``'s point-major matrix of x, from the closed form alone."""
+    s = closed_form_kernel(spec.family, x, x, spec.variance, spec.lengthscale,
+                           spec.degree, spec.support_radius)
+    if spec.q == 1 and spec.coregionalization is None:
+        return s
+    return np.kron(s, spec.mixing())
 
 
 class TestKernelEval:
@@ -276,8 +288,76 @@ class TestBitwiseValues:
     def test_metric_matrix_matches_einsum(self, spec, covalue):
         x = np.random.default_rng(41).standard_normal((12, 2))
         e = 1.0 if covalue is None else covalue
-        want = einsum_metric_matrix(cross_kernel(spec, x, x), e)
+        want = einsum_metric_matrix(closed_form_blocks(spec, x), e)
         assert np.array_equal(metric_matrix(spec, x, covalue), want)
+
+
+@pytest.fixture
+def triangle_calls(monkeypatch):
+    """The ``metric`` flag of every triangle pass taken."""
+    calls = []
+    triangle_pass = kernels._triangle_pass
+
+    def recorded(spec, x, metric):
+        calls.append(metric)
+        return triangle_pass(spec, x, metric)
+
+    monkeypatch.setattr(kernels, "_triangle_pass", recorded)
+    return calls
+
+
+class TestTrianglePass:
+    """A point set against itself is evaluated on one triangle, bit for bit."""
+
+    @pytest.mark.parametrize("block", [None, 64], ids=["block-default", "block-64"])
+    @pytest.mark.parametrize("n", [1, 2, 65, 66, 700])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("spec", STATIONARY, ids=lambda spec: spec.family)
+    def test_matches_closed_form(self, spec, dim, n, block, monkeypatch, triangle_calls):
+        if block is not None:
+            monkeypatch.setattr(kernels, "_BLOCK", block)
+        rng = np.random.default_rng([n, dim])
+        x = rng.uniform(0.0, 0.06 * n + 1.0, (n, dim))
+        k = symmetric_kernel_oracle(spec, x, metric=False)
+        dist = symmetric_kernel_oracle(spec, x, metric=True)
+        got = gram(spec, x)
+        assert np.array_equal(got, k) and np.array_equal(got, got.T)
+        assert np.array_equal(metric_matrix(spec, x), dist)
+        assert triangle_calls == [False, True]
+        nonzero = dist[dist > 0.0]
+        eps = np.geomspace(0.5 * nonzero.min(), 2.0 * dist.max(), 12) if nonzero.size \
+            else np.array([0.5, 1.0])
+        counts = np.array([greedy_cover_count(dist, x, e) for e in eps])
+        for e, count in zip(eps[::4], counts[::4]):
+            assert covering_number(spec, x, e) == count
+        assert entropy_integral(spec, x, eps) == greedy_entropy(counts.astype(float), eps)
+
+    def test_blocks_tile_the_lower_triangle(self):
+        for n in (1, 2, 65, 66, 181, 182, 700, 40000):
+            blocks = kernels._triangle_blocks(n)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert all(hi > lo and ((hi - lo) * hi <= kernels._BLOCK or hi - lo == 1)
+                       for lo, hi in blocks)
+        sizes = [hi - lo for lo, hi in kernels._triangle_blocks(700)]
+        assert len(sizes) >= 3 and sizes[-1] < sizes[-2]  # a ragged last block
+
+    @pytest.mark.parametrize("spec, covalue", [
+        (KernelSpec("matern52", lengthscale=0.9, coregionalization=[[2.0]]), None),
+        (KernelSpec("se", lengthscale=0.8, variance=1.3), 1.7),
+        (KernelSpec("polynomial", lengthscale=1.0, variance=0.6, degree=3), None),
+        (KernelSpec("custom", eval_hook=lambda i, j: kernel_eval(
+            KernelSpec("matern32", lengthscale=1.2), i, j)), None),
+    ], ids=["coregionalized", "covalue", "polynomial", "custom"])
+    def test_other_metrics_keep_the_general_path(self, spec, covalue, triangle_calls):
+        x = np.random.default_rng(47).uniform(0.0, 4.0, (40, 2))
+        if spec.family == "custom":
+            c = np.block([[spec.eval_hook(a, b) for b in x] for a in x])
+        else:
+            c = closed_form_blocks(spec, x)
+        want = einsum_metric_matrix(c, 1.0 if covalue is None else covalue)
+        assert np.array_equal(metric_matrix(spec, x, covalue), want)
+        assert True not in triangle_calls
 
 
 def _block_sizes(n, m):
@@ -317,7 +397,7 @@ class TestBlockedEvaluation:
     def test_metric_matrix_matches_einsum(self, spec, covalue, n):
         x = np.random.default_rng(n).uniform(0.0, 8.0, (n, 2))
         e = 1.0 if covalue is None else covalue
-        want = einsum_metric_matrix(cross_kernel(spec, x, x), e)
+        want = einsum_metric_matrix(closed_form_blocks(spec, x), e)
         assert np.array_equal(metric_matrix(spec, x, covalue), want)
 
     def test_gram_keeps_symmetric_kernel_matrix(self):

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from olskit import svm
 from olskit.kernels import KernelSpec, scalar_kernel
-from olskit.linalg import NotPsdError
+from olskit.linalg import NotPsdError, check_psd
 from olskit.svm import (
     ConvergenceError,
     _support_solve,
@@ -19,7 +20,13 @@ from olskit.svm import (
     xi_distance,
 )
 
-from helpers import blobs_2d, nearest_point_gap, support_solve_block, svm_qp_oracle
+from helpers import (
+    blobs_2d,
+    distinct_rows_last_tuples,
+    nearest_point_gap,
+    support_solve_block,
+    svm_qp_oracle,
+)
 
 LINEAR = KernelSpec("linear")
 SE = KernelSpec("se", lengthscale=1.5)
@@ -116,6 +123,37 @@ class TestSingletonsAndDuplicates:
         with pytest.warns(RuntimeWarning, match="strictly positive"):
             dup = svm_train(SvmProblem(LINEAR, [[0.0]], [[2.0], [2.0]]))
         assert abs(dup.rho - base.rho) < 1e-8
+
+
+class TestRowKeys:
+    def test_signed_zero_makes_sets_overlap(self):
+        with pytest.raises(ValueError, match="disjoint"):
+            SvmProblem(SE, [[0.0, 1.0], [2.0, 2.0]], [[3.0, 3.0], [-0.0, 1.0]])
+
+    def test_gate_reads_the_last_copy_of_each_point(self, monkeypatch):
+        gated = []
+
+        def recorded(a, *args, **kwargs):
+            gated.append(a.copy())
+            return check_psd(a, *args, **kwargs)
+
+        monkeypatch.setattr(svm, "check_psd", recorded)
+        # an SE kernel that tells -0.0 from 0.0 in the first coordinate, so
+        # the gate matrix shows which copy of a repeated point it kept
+        spec = KernelSpec("custom", eval_hook=lambda i, j: np.array([[
+            np.exp(-0.5 * np.sum((i - j) ** 2))
+            * (1.0 + 0.5 * np.signbit(i[0]) * np.signbit(j[0]))]]))
+        rng = np.random.default_rng(1619)
+        for _ in range(20):
+            d0 = np.round(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 12)), 2)))
+            d1 = np.round(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 12)), 2))) + 3.0
+            d0[(d0 == 0.0) & (rng.random(d0.shape) < 0.5)] = -0.0
+            problem = SvmProblem(spec, d0, d1)
+            gated.clear()
+            q = problem.signed_gram
+            uniq = distinct_rows_last_tuples(np.vstack([d1, d0]))
+            assert len(gated) == 1
+            assert np.array_equal(gated[0], q[np.ix_(uniq, uniq)])
 
 
 class TestBlobs:
