@@ -63,7 +63,6 @@ from .model import (
     RiskReport,
     SupportViolationError,
     contravariance_check,
-    delta_norm,
     estimator_delta_norm,
     gmt_compare,
     ols_build,
@@ -83,8 +82,6 @@ from .svm import (
     SvmProblem,
     decision_values,
     margin_check,
-    svm_classify,
-    svm_decision,
     svm_train,
     xi_distance,
 )

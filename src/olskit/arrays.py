@@ -58,10 +58,6 @@ class ArrayDesign:
             raise ValueError("mean_fn must return one length-q value per point")
         return out
 
-    def locate(self, point) -> int:
-        """Exact-match position of an index point within the design."""
-        return _locate(point, self.index_points, "is not a design point")
-
 
 @dataclass(frozen=True, eq=False)
 class TransformSpec:
@@ -85,10 +81,14 @@ def model_from_design(design: ArrayDesign) -> FiniteModel:
 
 
 def _validate_subset(design: ArrayDesign, subset: Sequence[int]) -> list[int]:
-    idx = [int(i) for i in subset]
-    for i in idx:
+    """Positions as ints; each a Python or numpy integer (not a bool) in range."""
+    idx = []
+    for i in subset:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"subset index must be an integer, got {i!r}")
         if not 0 <= i < design.n_points:
             raise ValueError(f"subset index {i} out of range [0, {design.n_points})")
+        idx.append(int(i))
     if len(set(idx)) != len(idx):
         raise ValueError("subset indices must be distinct")
     return idx
@@ -125,7 +125,7 @@ def transform_map(design: ArrayDesign, spec: TransformSpec) -> ObservationMap:
     n = design.n_points * design.q
     g = np.zeros((spec.target_points.shape[0] * q_out, n))
     for row, point in enumerate(spec.target_points):
-        i = design.locate(point)
+        i = _locate(point, design.index_points, "is not a design point")
         g[row * q_out:(row + 1) * q_out, i * design.q:(i + 1) * design.q] = w
     return ObservationMap(g)
 
@@ -136,10 +136,6 @@ class KrigeResult:
 
     values: np.ndarray          # (n_points, q)
     jitter: float
-    observed_indices: tuple[int, ...]
-
-    def at(self, design: ArrayDesign, point) -> np.ndarray:
-        return self.values[design.locate(point)]
 
 
 def krige(design: ArrayDesign, observed: Sequence[int], values,
@@ -147,9 +143,12 @@ def krige(design: ArrayDesign, observed: Sequence[int], values,
     """Best linear unbiased prediction of the whole array from a subset.
 
     ``values`` holds one length-q observation per observed index.  A jitter
-    of 1e-10 * variance is added to the observed covariance block only when
-    its condition number exceeds 1e12; the result records the jitter used.
-    Predicted values at observed points reproduce the data.
+    of 1e-10 * variance, recorded in the result, is added to the observed
+    block S only when S passes the rank test (singular values above
+    rcond * p * sigma_max) yet has condition number above 1e12.  The rank
+    test bounds cond(S) below 1 / (rcond * p), so the jitter fires only at
+    ``design.tol.rcond`` below 1e-12 / p, never at the default 1e-12, and
+    then predictions at observed points no longer reproduce the data.
     """
     idx = _validate_subset(design, observed)
     y = np.asarray(values, dtype=float)
@@ -178,7 +177,6 @@ def krige(design: ArrayDesign, observed: Sequence[int], values,
     return KrigeResult(
         values=predicted.reshape(design.n_points, design.q),
         jitter=jitter,
-        observed_indices=tuple(idx),
     )
 
 

@@ -11,7 +11,8 @@ and ``verify {gmt|disintegration|uii|entropy|continuity}``.  One table,
 ``_COMMANDS``, gives each data command its runner and help line; ``run``
 dispatches on it and ``_build_parser`` builds the subcommands from it.
 Exit code 0 means the run passed, 1 means a verification or numerical
-gate failed, 2 means bad input.
+gate failed (stderr names each false flag and the metric it gates), 2
+means bad input.
 
 Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
@@ -404,20 +405,16 @@ def parse_config(path: str) -> Config:
     return config_from_dict(raw)
 
 
-def serialize_config(config: Config) -> str:
-    return canonical_json(config.to_dict())
-
-
 # ---------------------------------------------------------------------------
 # CSV data
 # ---------------------------------------------------------------------------
 
 
-def load_csv(path: str, d: int | None = None, q: int | None = None) -> IndexedDataset:
+def load_csv(path: str) -> IndexedDataset:
     """Read ``i_1,...,i_d[,v_1,...,v_q]`` rows, preserving row order.
 
-    ``d``/``q`` validate the header when given; the value columns are
-    optional (query files carry points only).
+    The header fixes d and q; the value columns are optional (query files
+    carry points only).  Each command checks the widths it needs.
     """
     if not os.path.exists(path):
         raise CsvError(f"data file not found: {path}")
@@ -437,10 +434,6 @@ def load_csv(path: str, d: int | None = None, q: int | None = None) -> IndexedDa
             f"{path} row 1: header must be i_1,...,i_d[,v_1,...,v_q], got "
             f"{','.join(header)}"
         )
-    if d is not None and n_i != d:
-        raise CsvError(f"{path} row 1: expected {d} index columns, found {n_i}")
-    if q is not None and n_v not in (0, q):
-        raise CsvError(f"{path} row 1: expected {q} value columns, found {n_v}")
     width = len(header)
     rows = [line.split(",") for line in lines[1:]]
     try:
@@ -669,6 +662,13 @@ _COMMANDS = {
     "condition": (_run_condition, "posterior sampling on the fiber"),
 }
 
+# flag -> the metric it gates; both are named on stderr when the flag fails
+_FLAG_METRICS = {"observations_reproduced": "reproduction_max_error",
+                 "labels_reproduced": "reproduction_max_error",
+                 "samples_on_fiber": "fiber_max_residual",
+                 "margin_check": "support_margin_defect",
+                 "zero_training_errors": "training_errors"}
+
 
 def run(command: str, config: Config, inputs: dict, out_dir: str,
         seed: int | None = None) -> tuple[dict, int]:
@@ -710,6 +710,11 @@ def run(command: str, config: Config, inputs: dict, out_dir: str,
         atomic_write(os.path.join(out_dir, name), text)
     elapsed_ms = 1000.0 * (time.monotonic() - started)
     print(f"{command}: wrote {out_dir} in {elapsed_ms:.1f} ms", file=sys.stderr)
+    for flag, ok in body["flags"].items():
+        if not ok:
+            metric = _FLAG_METRICS.get(flag)
+            detail = f" ({metric} {body['metrics'][metric]:.6g})" if metric else ""
+            print(f"{command}: flag {flag} is false{detail}", file=sys.stderr)
     return report, 0 if passed else 1
 
 

@@ -105,7 +105,6 @@ class ConditionalModel:
     mean: np.ndarray
     residual_cov: np.ndarray
     estimator: OlsEstimator
-    data: np.ndarray
 
     def __post_init__(self) -> None:
         obs = self.estimator.obs
@@ -140,12 +139,7 @@ def conditional_gaussian(model: FiniteModel, obs, y,
     est = ols_build(model, obs)
     mean = ols_estimate(est, y, project=project)
     rcov = symmetrize(est.resid @ model.cov)
-    return ConditionalModel(
-        mean=mean,
-        residual_cov=rcov,
-        estimator=est,
-        data=as_vector(y, "data"),
-    )
+    return ConditionalModel(mean=mean, residual_cov=rcov, estimator=est)
 
 
 def _lift(est: OlsEstimator, v: np.ndarray) -> np.ndarray:
@@ -274,16 +268,19 @@ def disintegration_check(measure, obs, test_functions=None, seed: int = 0,
     Carlo comparison beyond it, on atoms drawn by probability; exact
     failures witness non-UII dependence structure.  Both Monte Carlo
     audits take 3 n_samples draws: the first third is the direct side,
-    the rest go through ``_convolution``.
+    the rest go through ``_convolution``.  They need n_samples >= 2 (else
+    ValueError); the exact path ignores n_samples.
     """
+    if isinstance(measure, DiscreteMeasure) and (
+            measure.probs.size ** 2 <= _MAX_ENUMERATED_ATOMS):
+        return _disintegration_check_discrete(measure, obs, test_functions)
     n = int(n_samples)
+    if n < 2:  # the Monte Carlo bound takes a sample standard deviation
+        raise ValueError(f"n_samples must be at least 2 for a Monte Carlo check, got {n}")
     if isinstance(measure, DiscreteMeasure):
-        k = measure.probs.size
-        if k * k <= _MAX_ENUMERATED_ATOMS:
-            return _disintegration_check_discrete(measure, obs, test_functions)
         est = discrete_ols(measure, obs)
         rng = np.random.default_rng(seed)
-        draws = measure.points[rng.choice(k, 3 * n, p=measure.probs)]
+        draws = measure.points[rng.choice(measure.probs.size, 3 * n, p=measure.probs)]
         n_random = 0
     elif isinstance(measure, FiniteModel):
         est = ols_build(measure, obs)

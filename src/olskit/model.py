@@ -14,7 +14,6 @@ risk identities and the Gauss-Markov comparisons in this module exercise.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,24 +72,12 @@ class FiniteModel:
 
 @dataclass(frozen=True, eq=False)
 class ObservationMap:
-    """Dense p x n realization of a continuous linear map and its adjoint."""
+    """Dense p x n realization of a continuous linear map."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", as_matrix(self.matrix, "observation map"))
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def adjoint(self) -> np.ndarray:
-        return self.matrix.T
 
 
 def _obs_matrix(obs, n: int) -> np.ndarray:
@@ -128,9 +115,6 @@ class OlsEstimator:
     @property
     def p(self) -> int:
         return self.data_mean.size
-
-    def __call__(self, y) -> np.ndarray:
-        return ols_estimate(self, y)
 
 
 def pushforward(model: FiniteModel, obs) -> FiniteModel:
@@ -264,40 +248,32 @@ class RiskReport:
     identity_residual: float
 
 
-def _check_right_inverse(g: np.ndarray, gain_any: np.ndarray,
-                         p_range: np.ndarray) -> None:
-    gap = float(np.linalg.norm(g @ gain_any - p_range))
-    if gap > 1e-8 * max(1.0, float(np.linalg.norm(p_range))):
-        raise ContractError(
-            f"G @ B does not equal the range projector (gap {gap:.3e}); "
-            "not a right inverse on the support"
-        )
+def risk(est: OlsEstimator, gain_any, f, offset=None) -> RiskReport:
+    """Estimated variance, MSE, and bias at f of a right inverse of est's map.
 
-
-def risk(model: FiniteModel, obs, gain_any, f, offset=None) -> RiskReport:
-    """Estimated variance, MSE, and bias of an estimator matrix at f.
-
-    The estimator is the affine map y -> c + B y.  With ``offset=None`` the
-    anchor c = m - B G m is implied, which makes every right inverse
-    unbiased (the convention under which the plain least-squares estimator
-    has bias exactly zero); pass an explicit offset to evaluate a biased
-    estimator.  The returned ``identity_residual`` is the defect of the
-    bias-variance identity
+    ``gain_any`` is judged under the model and map ``est`` was built from;
+    ContractError when G B is not the range projector of S.  The estimator
+    is the affine map y -> c + B y.  With ``offset=None`` the anchor
+    c = m - B G m is implied, which makes every right inverse unbiased (the
+    convention under which the plain least-squares estimator has bias
+    exactly zero); pass an explicit offset to evaluate a biased estimator.
+    The returned ``identity_residual`` is the defect of the bias-variance
+    identity
 
         MSE = |bias|^2 + estvar + var(f) - 2 cov(L* f, f)
 
     and stays at rounding level for any valid input.
     """
-    return _risk(ols_build(model, obs), gain_any, f, offset)
-
-
-def _risk(est: OlsEstimator, gain_any, f, offset=None) -> RiskReport:
-    """Body of ``risk``, given the least-squares estimator of its model."""
     model = est.model
     g = est.obs
     gain_any = as_matrix(gain_any, "estimator matrix")
     f = as_vector(f, "functional")
-    _check_right_inverse(g, gain_any, est.p_range)
+    gap = float(np.linalg.norm(g @ gain_any - est.p_range))
+    if gap > 1e-8 * max(1.0, float(np.linalg.norm(est.p_range))):
+        raise ContractError(
+            f"G @ B does not equal the range projector (gap {gap:.3e}); "
+            "not a right inverse on the support"
+        )
 
     lift_any = gain_any @ g
     resid_any = np.eye(model.n) - lift_any
@@ -378,12 +354,12 @@ def gmt_compare(model: FiniteModel, obs, f, alternatives,
     f = as_vector(f, "functional")
     est = ols_build(model, obs)
     s = est.obs @ model.cov @ est.obs.T
-    base = _risk(est, est.gain, f)
+    base = risk(est, est.gain, f)
     rows = []
     if offsets is None:
         offsets = [None] * len(alternatives)
     for gain_alt, off in zip(alternatives, offsets):
-        rep = _risk(est, gain_alt, f, offset=off)
+        rep = risk(est, gain_alt, f, offset=off)
         gain_alt = as_matrix(gain_alt, "estimator matrix")
         diff = (gain_alt - est.gain).T @ f
         excess = float(diff @ s @ diff)
@@ -411,43 +387,14 @@ def operator_norm(est: OlsEstimator) -> float:
     return spectral_norm(est.gain @ est.p_range)
 
 
-def delta_norm(model_a: FiniteModel, model_b: FiniteModel, obs) -> float:
-    """Covariance-difference ratio norm sup_e |D G^T e| / |G D G^T e|.
-
-    D = K_b - K_a may be indefinite; the formula is evaluated literally as
-    spectral_norm(D G^T (G D G^T)^+) restricted to the range of G D G^T,
-    with 0 returned when the covariances coincide.  Directions annihilated
-    by G D G^T but not by D G^T are excluded from the supremum; a warning
-    is emitted when that excluded set is nontrivial.
-    """
-    if model_a.n != model_b.n:
-        raise ValueError("models have different dimensions")
-    g = _obs_matrix(obs, model_a.n)
-    d = model_b.cov - model_a.cov
-    if not np.any(d):
-        return 0.0
-    t = symmetrize(g @ d @ g.T)
-    t_plus = pinv(t, model_a.tol)
-    dgt = d @ g.T
-    excluded = dgt @ (np.eye(t.shape[0]) - t @ t_plus)
-    if spectral_norm(excluded) > 1e-8 * max(1.0, spectral_norm(dgt)):
-        warnings.warn(
-            "delta_norm: directions outside range(G D G^T) carry mass of "
-            "D G^T and are excluded from the supremum",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return spectral_norm(dgt @ t_plus)
-
-
 def estimator_delta_norm(model_a: FiniteModel, model_b: FiniteModel, obs) -> float:
     """Operator norm of the difference of the two estimators' linear parts.
 
     This is the quantity that vanishes as the hyperparameters converge and
     the one that enters the end-to-end perturbation bound
     |est_b(y') - est_a(y)| <= delta * |y'| + M_a * |y' - y| for centered
-    data; ``delta_norm`` above is the literal covariance-difference ratio,
-    which does not shrink with the perturbation size.
+    data.  Each gain is read on its support directions, B P_range, so equal
+    models give exactly 0.
     """
     est_a = ols_build(model_a, obs)
     est_b = ols_build(model_b, obs)

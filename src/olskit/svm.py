@@ -254,20 +254,12 @@ def decision_values(model: SvmModel, problem: SvmProblem, points) -> np.ndarray:
 
     g(i) = sum_j nu1_j c(i, d1_j) - sum_k nu0_k c(i, d0_k) - offset; the
     margin hyperplanes sit at g = +/- rho^2 / 2 and the boundary at g = 0.
+    The hard label is 1 iff g >= 0, so a point on the boundary gets label 1.
     """
     pts = as_points(points, "query points")
     c1 = cross_kernel(problem.kernel, pts, problem.d1)
     c0 = cross_kernel(problem.kernel, pts, problem.d0)
     return c1 @ model.nu1 - c0 @ model.nu0 - model.offset
-
-
-def svm_decision(model: SvmModel, problem: SvmProblem, point) -> float:
-    return float(decision_values(model, problem, np.atleast_1d(point)[None, :])[0])
-
-
-def svm_classify(model: SvmModel, problem: SvmProblem, point) -> int:
-    """Hard label: 1 iff g >= 0, breaking the tie in favor of label 1."""
-    return int(svm_decision(model, problem, point) >= 0.0)
 
 
 def xi_distance(problem: SvmProblem, model_a: SvmModel, model_b: SvmModel) -> float:

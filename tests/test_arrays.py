@@ -12,11 +12,12 @@ from olskit.arrays import (
     transform_map,
 )
 from olskit.kernels import KernelSpec, cross_kernel, kernel_eval, gram
-from olskit.linalg import NotPsdError, symmetrize
+from olskit.linalg import DEFAULT_TOL, NotPsdError, Tolerance, symmetrize
 from olskit.model import (
     SupportViolationError,
     estimator_delta_norm,
     ols_build,
+    ols_estimate,
     operator_norm,
 )
 
@@ -158,6 +159,24 @@ class TestRestrictionMap:
         with pytest.raises(ValueError, match="distinct"):
             restriction_map(design, [1, 1])
 
+    @pytest.mark.parametrize("subset", [[0.5, 2.9], [True, 2]], ids=["float", "bool"])
+    def test_non_integer_subset_rejected(self, subset):
+        # int() would truncate these to positions (0, 2) and (1, 2)
+        design = grid_design(n=4)
+        calls = [
+            lambda: restriction_map(design, subset),
+            lambda: krige(design, subset, np.zeros(2)),
+            lambda: fuzzy_classify(design, subset[:1], subset[1:]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+
+    def test_numpy_integers_accepted(self):
+        design = grid_design(n=4)
+        g = restriction_map(design, np.array([2, 0], dtype=np.int32)).matrix
+        assert np.array_equal(g, np.eye(4)[[2, 0]])
+
 
 class TestTransformMap:
     def test_inclusion_identity_equals_restriction(self):
@@ -205,7 +224,7 @@ class TestTransformMap:
         est = ols_build(model, obs)
         truth = (model_from_design(design).cov @ rng.standard_normal(10))
         y = obs.matrix @ truth
-        recovered = est(y)
+        recovered = ols_estimate(est, y)
         assert np.abs(obs.matrix @ recovered - y).max() < 1e-8
 
 
@@ -327,6 +346,54 @@ class TestKrige:
         lhs = np.linalg.norm(pred_b - pred_a)
         rhs = m_norm * np.linalg.norm(dy) + delta * np.linalg.norm(y + dy)
         assert lhs <= rhs + 1e-9
+
+
+JITTER_FAMILIES = [
+    KernelSpec("se", lengthscale=0.8, variance=1.3),
+    KernelSpec("matern12", lengthscale=0.5, variance=0.7),
+    KernelSpec("matern32", lengthscale=1.2, variance=2.0),
+    KernelSpec("matern52", lengthscale=0.9, variance=1.1),
+    KernelSpec("linear", lengthscale=1.5, variance=0.8),
+    KernelSpec("polynomial", lengthscale=1.0, variance=0.6, degree=3),
+    KernelSpec("wendland", variance=1.0, support_radius=2.5),
+]
+
+
+class TestJitter:
+    @pytest.mark.parametrize("spec", JITTER_FAMILIES, ids=lambda spec: spec.family)
+    def test_never_fires_at_the_default_rcond(self, spec):
+        # A block that passes the rank test has cond(S) < 1 / (rcond p), which
+        # is below the 1e12 trigger at rcond = 1e-12.  Three observed points,
+        # two of them a distance h apart, sweep cond(S) from O(1) past the cut.
+        rng = np.random.default_rng(31)
+        p = 3
+        cut = 1.0 / (DEFAULT_TOL.rcond * p)
+        conds = []
+        for _ in range(80):
+            pts = rng.uniform(0.0, 2.0, (8, 3))
+            direction = rng.standard_normal(3)
+            h = 10.0 ** -rng.uniform(0.0, 14.0)
+            pts[1] = pts[0] + h * direction / np.linalg.norm(direction)
+            result = krige(ArrayDesign(pts, spec), [0, 1, 2], rng.standard_normal(p),
+                           project=True)
+            assert result.jitter == 0.0
+            sv = np.linalg.svd(gram(spec, pts[:p]), compute_uv=False)
+            if sv[-1] > DEFAULT_TOL.rcond * p * sv[0]:
+                conds.append(sv[0] / sv[-1])
+        assert max(conds) < cut
+        assert max(conds) > cut / 10.0  # the sweep reaches the rank cut
+
+    def test_fires_below_the_default_rcond_and_breaks_reproduction(self):
+        # SE points 0 and 1e-6: cond(S) is about 2e12, full rank at rcond 1e-16
+        pts = [[0.0], [1e-6]]
+        y = np.ones(2)
+        exact = krige(ArrayDesign(pts, KernelSpec("se")), [0, 1], y)
+        assert exact.jitter == 0.0
+        assert np.abs(exact.values[:, 0] - y).max() < 1e-12
+        design = ArrayDesign(pts, KernelSpec("se"), tol=Tolerance(rcond=1e-16))
+        jittered = krige(design, [0, 1], y)
+        assert jittered.jitter == 1e-10
+        assert np.abs(jittered.values[:, 0] - y).max() > 1e-8
 
 
 class TestFuzzyClassify:

@@ -20,7 +20,6 @@ from olskit.cli import (
     load_csv,
     main,
     parse_config,
-    serialize_config,
 )
 from olskit.kernels import KernelSpec
 from olskit.linalg import Tolerance
@@ -138,9 +137,9 @@ class TestConfig:
             tmp_path / "c.json",
             {"samples": 5000, "tolerances": {"rcond": 1e-10}},
         ))
-        again = config_from_dict(json.loads(serialize_config(config)))
+        again = config_from_dict(json.loads(canonical_json(config.to_dict())))
         assert again == config
-        assert serialize_config(again) == serialize_config(config)
+        assert canonical_json(again.to_dict()) == canonical_json(config.to_dict())
 
 
 class TestLoadCsv:
@@ -174,16 +173,6 @@ class TestLoadCsv:
     def test_row_order_preserved(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "i_1\n3\n1\n2\n")
         assert np.array_equal(load_csv(path).points[:, 0], [3.0, 1.0, 2.0])
-
-    def test_expected_dimension_arguments(self, tmp_path):
-        path = write_csv(tmp_path / "d.csv", "i_1,i_2,v_1\n0,0,1\n")
-        data = load_csv(path, d=2, q=1)
-        assert data.points.shape == (1, 2)
-        with pytest.raises(CsvError, match="index columns"):
-            load_csv(path, d=3)
-        with pytest.raises(CsvError, match="value columns"):
-            load_csv(path, q=2)
-
 
     def test_first_bad_row_wins(self, tmp_path):
         # a bad cell in row 3 is reported before a ragged row 5, and the reverse
@@ -822,6 +811,35 @@ class TestExitCodes:
                         "--out", tmp_path / "out"])
         assert code == 2
         assert capsys.readouterr().err == f"error: {data} row 3 column 2: non-finite cell 'nan'\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_sample_disintegration_is_input_error(self, tmp_path, capsys):
+        # one draw has no sample standard deviation for the Monte Carlo bound
+        config = write_config(tmp_path / "c.json", {"samples": 1})
+        out = tmp_path / "out"
+        assert run_cli(["verify", "disintegration", "--config", config,
+                        "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_samples must be at least 2") and err.count("\n") == 1
+        assert not list(out.iterdir())
+        # condition keeps accepting a single sample
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0.0,0.3\n1.0,0.7\n")
+        assert run_cli(["condition", "--config", config, "--data", data,
+                        "--out", tmp_path / "cond"]) == 0
+
+    def test_failed_flag_names_its_metric(self, tmp_path, capsys):
+        # SE points 0 and 1e-6 pass the rank test at rcond 1e-16, so krige
+        # jitters the block and the data are no longer reproduced
+        config = write_config(tmp_path / "c.json", {"tolerances": {"rcond": 1e-16}})
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0,1\n1e-6,1\n")
+        out = tmp_path / "out"
+        assert run_cli(["krige", "--config", config, "--data", data, "--out", out]) == 1
+        wrote, failed = capsys.readouterr().err.splitlines()
+        assert wrote.startswith(f"krige: wrote {out} in ")
+        error = json.loads((out / "report.json").read_text())["metrics"]["reproduction_max_error"]
+        assert error > 1e-8
+        assert failed == (f"krige: flag observations_reproduced is false "
+                          f"(reproduction_max_error {error:.6g})")
 
 
 class TestParserReuse:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,31 @@ class TestSamplerFromPriorDraws:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         stochastic_ols_sample(cond, 0, 10)
         assert seen and all(np.array_equal(a, model.cov) for a in seen)
+
+
+class TestMonteCarloSampleCount:
+    # the Monte Carlo bound is 4 sample standard deviations of the paired
+    # differences, which one draw cannot give
+    @pytest.mark.parametrize("n_samples", [1, 0])
+    def test_below_two_draws_is_refused(self, n_samples):
+        gaussian = FiniteModel(np.zeros(2), np.eye(2))
+        rng = np.random.default_rng(22)
+        large = DiscreteMeasure(np.full(150, 1.0 / 150.0), rng.standard_normal((150, 2)))
+        for measure in (gaussian, large):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="n_samples must be at least 2"):
+                    disintegration_check(measure, FIRST_COORD, n_samples=n_samples)
+
+    def test_two_draws_are_enough(self):
+        report = disintegration_check(BIVARIATE, FIRST_COORD, n_samples=2)
+        assert report.n_samples == 2
+        assert all(np.isfinite(r.bound) for r in report.rows)
+
+    def test_exact_path_ignores_the_count(self):
+        measure, obs, _ = uii_counterexample()
+        report = disintegration_check(measure, obs, n_samples=1)
+        assert report.exact and report.n_samples == 0
 
 
 class TestLargeDiscreteFallback:

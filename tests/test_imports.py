@@ -1,14 +1,25 @@
 """The runtime depends on numpy alone; scipy is only the tests' oracle."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import olskit
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# second entry points to a capability that has one; each stays deleted
+DELETED = ("delta_norm", "svm_decision", "svm_classify")
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "olskit").glob("*.py")),
@@ -61,3 +72,22 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_deleted_functions_stay_deleted():
+    modules = [olskit] + [importlib.import_module(f"olskit.{info.name}")
+                          for info in pkgutil.iter_modules(olskit.__path__)]
+    assert not [f"{module.__name__}.{name}" for module in modules
+                for name in DELETED if hasattr(module, name)]
+    for text in (README.read_text(encoding="utf-8"), olskit.__doc__):
+        assert not [name for name in DELETED if re.search(rf"\b{name}\b", text)]
+
+
+def test_deleted_members_stay_deleted():
+    assert "__call__" not in vars(olskit.OlsEstimator)  # ols_estimate applies it
+    assert "at" not in vars(olskit.KrigeResult)
+    assert not {"p", "n", "adjoint"} & set(vars(olskit.ObservationMap))
+    assert "data" not in {f.name for f in dataclasses.fields(olskit.ConditionalModel)}
+    assert list(inspect.signature(olskit.risk).parameters)[0] == "est"
+    assert list(inspect.signature(importlib.import_module("olskit.cli").load_csv)
+                .parameters) == ["path"]

@@ -9,7 +9,6 @@ from olskit.model import (
     ObservationMap,
     SupportViolationError,
     contravariance_check,
-    delta_norm,
     estimator_delta_norm,
     gmt_compare,
     ols_build,
@@ -304,14 +303,14 @@ class TestRisk:
         model, rng = make_model(17, 5)
         g = rng.standard_normal((2, 5))
         est = ols_build(model, g)
-        rep = risk(model, g, est.gain, rng.standard_normal(5))
+        rep = risk(est, est.gain, rng.standard_normal(5))
         assert rep.bias == 0.0
         assert rep.identity_residual < 1e-10
 
     def test_identity_observation(self):
         model, rng = make_model(18, 4)
         f = rng.standard_normal(4)
-        rep = risk(model, np.eye(4), np.eye(4), f)
+        rep = risk(ols_build(model, np.eye(4)), np.eye(4), f)
         assert abs(rep.mse) < 1e-12
         assert abs(rep.estvar - f @ model.cov @ f) < 1e-10
 
@@ -321,7 +320,7 @@ class TestRisk:
         est = ols_build(model, g)
         for seed in range(10):
             alt = random_right_inverse(est, seed)
-            rep = risk(model, g, alt, rng.standard_normal(6))
+            rep = risk(est, alt, rng.standard_normal(6))
             assert rep.identity_residual < 1e-10
 
     def test_monte_carlo_oracle(self):
@@ -330,7 +329,7 @@ class TestRisk:
         est = ols_build(model, g)
         alt = random_right_inverse(est, 5)
         f = rng.standard_normal(4)
-        rep = risk(model, g, alt, f)
+        rep = risk(est, alt, f)
         draws = sample(model, 31, 100_000)
         estimates = (draws @ g.T) @ alt.T  # anchored, zero-mean model
         est_vals = estimates @ f
@@ -347,7 +346,7 @@ class TestRisk:
         f = rng.standard_normal(4)
         shift = rng.standard_normal(4)
         anchored = model.mean - est.gain @ est.data_mean
-        rep = risk(model, g, est.gain, f, offset=anchored + shift)
+        rep = risk(est, est.gain, f, offset=anchored + shift)
         assert abs(rep.bias - f @ shift) < 1e-10
         assert rep.identity_residual < 1e-10
 
@@ -355,7 +354,7 @@ class TestRisk:
         model, rng = make_model(22, 4)
         g = rng.standard_normal((2, 4))
         with pytest.raises(ContractError):
-            risk(model, g, np.zeros((4, 2)), rng.standard_normal(4))
+            risk(ols_build(model, g), np.zeros((4, 2)), rng.standard_normal(4))
 
 
 class TestRandomRightInverse:
@@ -483,39 +482,6 @@ class TestOperatorNorms:
             v = w / np.linalg.norm(w)
         refined = float(np.linalg.norm(bp @ v))
         assert abs(operator_norm(est) - refined) < 1e-6 * refined
-
-    def test_delta_norm_same_model_zero(self):
-        model, rng = make_model(31, 4)
-        g = rng.standard_normal((2, 4))
-        assert delta_norm(model, model, g) == 0.0
-
-    def test_delta_norm_sampling_oracle(self):
-        rng = np.random.default_rng(32)
-        k1 = random_psd(rng, 5)
-        k2 = random_psd(rng, 5)
-        a = FiniteModel(np.zeros(5), k1)
-        b = FiniteModel(np.zeros(5), k2)
-        g = rng.standard_normal((3, 5))
-        d = k2 - k1
-        t = g @ d @ g.T
-        mat = d @ g.T @ np.linalg.inv(t)
-        v = rng.standard_normal(3)
-        for _ in range(800):
-            w = mat.T @ (mat @ v)
-            v = w / np.linalg.norm(w)
-        refined = float(np.linalg.norm(mat @ v))
-        assert abs(delta_norm(a, b, g) - refined) < 1e-6 * refined
-
-    def test_delta_norm_excluded_directions_warn(self):
-        # G D G^T vanishes while D G^T does not: the whole supremum set is
-        # excluded and the caller gets told
-        k1 = np.eye(2)
-        k2 = np.array([[1.0, 0.5], [0.5, 1.0]])
-        g = np.array([[1.0, 0.0]])
-        a = FiniteModel(np.zeros(2), k1)
-        b = FiniteModel(np.zeros(2), k2)
-        with pytest.warns(RuntimeWarning, match="excluded"):
-            assert delta_norm(a, b, g) == 0.0
 
     def test_estimator_delta_decreases_with_lengthscale(self):
         from olskit.arrays import ArrayDesign, model_from_design, restriction_map

@@ -14,8 +14,6 @@ from olskit.svm import (
     SvmProblem,
     decision_values,
     margin_check,
-    svm_classify,
-    svm_decision,
     svm_train,
     xi_distance,
 )
@@ -62,29 +60,29 @@ class TestLineFixture:
     def test_boundary_at_one(self):
         problem = line_problem()
         model = svm_train(problem)
-        assert abs(svm_decision(model, problem, [1.0])) < 1e-6
+        assert abs(decision_values(model, problem, [[1.0]])[0]) < 1e-6
 
     def test_tie_breaks_to_label_one(self):
         problem = line_problem()
         model = svm_train(problem)
-        assert svm_classify(model, problem, [1.0]) == 1
+        assert decision_values(model, problem, [[1.0]])[0] >= 0.0
 
     def test_training_points_classified(self):
         problem = line_problem()
         model = svm_train(problem)
-        assert svm_classify(model, problem, [0.0]) == 0
-        assert svm_classify(model, problem, [2.0]) == 1
+        assert decision_values(model, problem, [[0.0]])[0] < 0.0
+        assert decision_values(model, problem, [[2.0]])[0] >= 0.0
 
     def test_far_point(self):
         problem = line_problem()
         model = svm_train(problem)
-        assert svm_classify(model, problem, [50.0]) == 1
+        assert decision_values(model, problem, [[50.0]])[0] >= 0.0
 
     def test_margin_values_at_support_vectors(self):
         problem = line_problem()
         model = svm_train(problem)
-        assert abs(svm_decision(model, problem, [2.0]) - model.rho**2 / 2) < 1e-6
-        assert abs(svm_decision(model, problem, [0.0]) + model.rho**2 / 2) < 1e-6
+        assert abs(decision_values(model, problem, [[2.0]])[0] - model.rho**2 / 2) < 1e-6
+        assert abs(decision_values(model, problem, [[0.0]])[0] + model.rho**2 / 2) < 1e-6
 
     def test_margin_check(self):
         problem = line_problem()
@@ -97,8 +95,8 @@ class TestLineFixture:
     def test_offset_shift_keeps_training_signs(self):
         problem = SvmProblem(LINEAR, [[1.0]], [[3.0]])  # same geometry shifted
         model = svm_train(problem)
-        assert svm_classify(model, problem, [1.0]) == 0
-        assert svm_classify(model, problem, [3.0]) == 1
+        assert decision_values(model, problem, [[1.0]])[0] < 0.0
+        assert decision_values(model, problem, [[3.0]])[0] >= 0.0
 
 
 @pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
@@ -224,9 +222,9 @@ class TestBlobs:
     def test_decision_continuity(self):
         problem = blobs_problem(5)
         model = svm_train(problem)
-        base = svm_decision(model, problem, [1.0, 1.0])
+        base = decision_values(model, problem, [[1.0, 1.0]])[0]
         for h in (1e-4, 1e-5):
-            nearby = svm_decision(model, problem, [1.0 + h, 1.0])
+            nearby = decision_values(model, problem, [[1.0 + h, 1.0]])[0]
             assert abs(nearby - base) < 10 * h
 
 
