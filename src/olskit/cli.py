@@ -21,7 +21,7 @@ files are written atomically (temp file plus rename).
 
 Every float in a CSV table or a JSON array is written as ``"%.17g" % x``
 would write it.  Tables of a few hundred cells or more are converted by
-numpy (``_float_rows``): an exact product with a power of ten gives each
+numpy (``_float_text``): an exact product with a power of ten gives each
 cell's correctly rounded 17 digits, and only ties, very small or large
 exponents and non-finite values are formatted one cell at a time.
 """
@@ -185,11 +185,12 @@ def _block_text(x: np.ndarray, layout: np.ndarray) -> str:
     return text
 
 
-def _float_rows(rows: np.ndarray) -> list[str]:
-    """Rows of a 2-d array as ``%.17g`` cells joined by commas.
+def _float_text(rows: np.ndarray) -> str:
+    """Rows of a 2-d array as ``%.17g`` cells joined by commas, each row
+    ended by a newline.
 
     The text is, byte for byte, ``"%.17g" % x`` of every cell.  A table of
-    fewer than ``_SMALL_TABLE`` cells goes through one ``"%.17g,...,%.17g"``
+    fewer than ``_SMALL_TABLE`` cells goes through one ``"%.17g,...,%.17g\\n"``
     row template.  A larger one is converted by numpy in blocks of whole
     rows, about ``_BLOCK`` cells each: every zero and every finite cell with
     decimal exponent in [-4, 16] gets its correctly rounded 17 digits from
@@ -199,20 +200,18 @@ def _float_rows(rows: np.ndarray) -> list[str]:
     """
     nrows, ncols = rows.shape
     if rows.size < _SMALL_TABLE:
-        template = ",".join(["%.17g"] * ncols)
-        return [template % tuple(row.tolist()) for row in rows]
+        template = ",".join(["%.17g"] * ncols) + "\n"
+        return "".join([template % tuple(row.tolist()) for row in rows])
     per_block = max(1, _BLOCK // ncols)
     layout = np.empty((min(per_block, nrows), ncols, _WIDTH), dtype=np.uint8)
     layout[...] = _LAYOUT
     layout[:, -1, -1] = ord("\n")
     layout = layout.reshape(-1, _WIDTH)
-    out = []
+    blocks = []
     for start in range(0, nrows, per_block):
         x = np.ascontiguousarray(rows[start:start + per_block], dtype=np.float64).ravel()
-        lines = _block_text(x, layout[:x.size]).split("\n")
-        lines.pop()  # the block ends with a newline
-        out += lines
-    return out
+        blocks.append(_block_text(x, layout[:x.size]))
+    return "".join(blocks)
 
 
 def _canonical(value) -> str:
@@ -238,8 +237,8 @@ def _canonical(value) -> str:
         if value.dtype.kind == "f" and value.ndim in (1, 2):
             if not np.isfinite(value).all():
                 raise ValueError(_NON_FINITE)
-            rows = _float_rows(np.atleast_2d(value))
-            body = ",".join(["[" + row + "]" for row in rows])
+            text = _float_text(np.atleast_2d(value))
+            body = "[" + text[:-1].replace("\n", "],[") + "]" if text else ""
             return body if value.ndim == 1 else "[" + body + "]"
         return _canonical(value.tolist())
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -480,7 +479,7 @@ def _raise_first_bad_row(path: str, rows: list[list[str]], width: int) -> None:
 
 
 def _format_csv(header: list[str], rows: np.ndarray) -> str:
-    return "\n".join([",".join(header), *_float_rows(np.atleast_2d(rows))]) + "\n"
+    return ",".join(header) + "\n" + _float_text(np.atleast_2d(rows))
 
 
 # ---------------------------------------------------------------------------

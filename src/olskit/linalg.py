@@ -44,10 +44,9 @@ class Tolerance:
         if not (0.0 < self.abs_psd < 1.0):
             raise ValueError(f"abs_psd must lie in (0, 1), got {self.abs_psd}")
 
-    @property
-    def support_rtol(self) -> float:
-        """Relative residual threshold for affine-support membership checks."""
-        return float(np.sqrt(self.rcond))
+    def support_threshold(self, norm: float) -> float:
+        """Residual allowed off an affine support for a vector of this norm."""
+        return float(np.sqrt(self.rcond)) * norm + 1e-15 * (1.0 + norm)
 
 
 DEFAULT_TOL = Tolerance()
@@ -148,10 +147,11 @@ class PsdSpectrum(NamedTuple):
     floor: float                # abs_psd * max(1, max|k|)
 
 
-def _cholesky_certifies(sym: np.ndarray, floor: float) -> bool:
-    """Whether ``sym + floor * I`` has a Cholesky factor, i.e. lambda_min > -floor."""
+def _cholesky_certifies(sym: np.ndarray, shift: float) -> bool:
+    """Whether ``sym + shift * I`` has a Cholesky factor, i.e. lambda_min > -shift:
+    at ``+floor`` the PSD gate, at ``-floor`` a test of strict definiteness."""
     shifted = sym.copy()
-    shifted.ravel()[:: shifted.shape[0] + 1] += floor
+    shifted.ravel()[:: shifted.shape[0] + 1] += shift
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -160,7 +160,7 @@ def _cholesky_certifies(sym: np.ndarray, floor: float) -> bool:
 
 
 def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
-              values: bool = False, vectors: bool = False) -> PsdSpectrum:
+              vectors: bool = False) -> PsdSpectrum:
     """The one PSD gate: ``k`` is square, symmetric and positive semidefinite.
 
     ``k`` must already be a finite 2-d array (see ``as_matrix``).  Both the
@@ -168,14 +168,13 @@ def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
     ``abs_psd * max(1, max|k|)``.  An exactly symmetric ``k`` is returned as
     it is; any other is symmetrized once.
 
-    Acceptance is certified by one Cholesky factorization of ``K + floor*I``,
-    which exists exactly when lambda_min(K) > -floor, up to rounding (Higham,
+    The verdict is one Cholesky factorization of ``K + floor*I``, which
+    exists exactly when lambda_min(K) > -floor, up to rounding (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 10).  Eigenvalues
     are computed in two cases only: when that factorization fails, so that
     ``eigvalsh`` decides and a rejection names lambda_min, and when the
-    caller reads them (``values`` for the ascending eigenvalues, ``vectors``
-    for the eigenvectors as well).  Raises NotPsdError, naming ``name``, on
-    failure.
+    caller asks for the eigenpairs (``vectors``), whose eigenvalues then
+    decide.  Raises NotPsdError, naming ``name``, on failure.
     """
     n, m = k.shape
     if n != m:
@@ -189,7 +188,7 @@ def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
     w = v = None
     if vectors:
         w, v = np.linalg.eigh(sym)
-    elif values or not _cholesky_certifies(sym, floor):
+    elif not _cholesky_certifies(sym, floor):
         w = np.linalg.eigvalsh(sym)
     if w is not None and w.size and float(w[0]) < -floor:
         raise NotPsdError(f"{name} is not PSD: eigenvalue {w[0]:.3e} below -abs_psd")

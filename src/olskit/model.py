@@ -198,7 +198,7 @@ def ols_estimate(est: OlsEstimator, y, project: bool = False) -> np.ndarray:
     dy = as_vector(y, "data") - est.data_mean
     norm_dy = float(np.linalg.norm(dy))
     resid = float(np.linalg.norm(dy - est.p_range @ dy))
-    threshold = est.model.tol.support_rtol * norm_dy + 1e-15 * (1.0 + norm_dy)
+    threshold = est.model.tol.support_threshold(norm_dy)
     if resid > threshold:
         if not project:
             raise SupportViolationError(
@@ -323,6 +323,9 @@ class GmtRow:
 
 @dataclass(frozen=True)
 class GmtReport:
+    """Rows of ``gmt_compare``.  ``mse_pass`` and ``identity_pass`` are the
+    Gauss-Markov gates, the one place their thresholds are written."""
+
     estvar_ols: float
     mse_ols: float
     rows: list[GmtRow]
@@ -414,7 +417,7 @@ def paley_wiener(model: FiniteModel, u, v) -> float:
         raise ValueError("u and v must match the model dimension")
     p_k = range_projector(model.cov, model.tol)
     resid = float(np.linalg.norm(u - p_k @ u))
-    threshold = model.tol.support_rtol * float(np.linalg.norm(u)) + 1e-15
+    threshold = model.tol.support_threshold(float(np.linalg.norm(u)))
     if resid > threshold:
         raise SupportViolationError(
             f"u lies outside range(K) (residual {resid:.3e})", residual=resid

@@ -15,9 +15,10 @@ objective suboptimality.  Everything downstream (margin, decision values,
 labels) uses kernel evaluations only.
 
 Each problem builds one signed Gram over ``[d1; d0]`` on first use.  The
-strict-PD gate, training, the margin audit's quadratic form and
-``xi_distance`` all read it; the gate runs on its unique-point block, so a
-point repeated within one class does not trip it.  ``margin_check``
+PSD gate, training, the margin audit's quadratic form and ``xi_distance``
+all read it.  The gate runs on its unique-point block, so a point repeated
+within one class does not trip it, and its strict-PD warning is a second
+Cholesky certificate, at -floor, not an eigensolve.  ``margin_check``
 recomputes the pointwise side independently through ``decision_values``.
 """
 
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import KernelSpec, _first_rows, as_points, cross_kernel
-from .linalg import DEFAULT_TOL, Tolerance, check_psd
+from .linalg import DEFAULT_TOL, Tolerance, _cholesky_certifies, check_psd
 
 
 class SeparationError(RuntimeError):
@@ -86,8 +87,8 @@ class SvmProblem:
         n = pts.shape[0]
         last = n - 1 - _first_rows(pts[::-1])[::-1]
         uniq = last[_first_rows(pts) == np.arange(n)]
-        gate = check_psd(q[np.ix_(uniq, uniq)], self.tol, "kernel gram", values=True)
-        if gate.values[0] <= gate.floor:
+        gate = check_psd(q[np.ix_(uniq, uniq)], self.tol, "kernel gram")
+        if not _cholesky_certifies(gate.matrix, -gate.floor):
             warnings.warn(
                 "kernel gram is not strictly positive definite on the training "
                 "points; hull separability is not guaranteed a priori",
@@ -130,11 +131,12 @@ def _support_solve(q: np.ndarray, a: np.ndarray, n1: int) -> np.ndarray:
     return sol[:m]
 
 
-def _certificate(x: np.ndarray, r: np.ndarray, sides) -> tuple[float, float, float]:
-    """Objective ||xi||^2, offset and Frank-Wolfe duality gap at ``r = Q x``."""
+def _certificate(x: np.ndarray, r: np.ndarray, sides):
+    """Objective ||xi||^2, offset, Frank-Wolfe duality gap at ``r = Q x``, and
+    the side with the larger gap term x_s.r_s - min r_s (class 1 on a tie)."""
     w1, w0 = (float(x[s] @ r[s]) for s in sides)
-    gap = 2.0 * ((w1 - float(r[sides[0]].min())) + (w0 - float(r[sides[1]].min())))
-    return w1 + w0, 0.5 * (w1 - w0), gap
+    t1, t0 = w1 - float(r[sides[0]].min()), w0 - float(r[sides[1]].min())
+    return w1 + w0, 0.5 * (w1 - w0), 2.0 * (t1 + t0), sides[t0 > t1]
 
 
 def svm_train(problem: SvmProblem, tol: float = 1e-10,
@@ -208,14 +210,13 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
             x[a[:m1]] = y[:m1] / sums[0]
             x[a[m1:]] = y[m1:] / sums[1]
             r = refresh(x)
-            objective, _, gap = _certificate(x, r, sides)
+            objective, _, gap, side = _certificate(x, r, sides)
             if trace is not None:
                 trace.append(objective)
             if gap <= tol:
                 break
-            # admit the lowest score of the class further from its minimum,
-            # class 1 on a tie; a point already admitted is a rounding stall
-            side = max(sides, key=lambda s: x[s] @ r[s] - r[s].min())
+            # admit the lowest score of the class further from its minimum;
+            # a point already admitted is a rounding stall
             j = side.start + int(np.argmin(r[side]))
             if support[j]:
                 break
@@ -227,7 +228,7 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
         iters += 1
 
     r = refresh(x)
-    objective, offset, gap = _certificate(x, r, sides)
+    objective, offset, gap, _ = _certificate(x, r, sides)
     if gap > tol:
         # covers the iteration cap, a lost constraint and a rounding stall
         raise ConvergenceError(

@@ -23,6 +23,7 @@ from olskit.cli import (
 )
 from olskit.kernels import KernelSpec
 from olskit.linalg import Tolerance
+from olskit.model import GmtReport
 from olskit.verify import VERIFY_TARGETS
 
 from helpers import (
@@ -536,6 +537,31 @@ class TestClassifyCommands:
                         "--out", tmp_path / "out"]) == 0
         assert 120 ** 2 <= sum(entries) <= 2 * 120 ** 2
 
+    def test_svm_warns_without_an_eigensolve(self, tmp_path, monkeypatch):
+        # the classify-svm benchmark's shape: 2 x 60 blobs, SE with l = 0.7,
+        # whose Gram is PSD but not strictly PD at the gate's floor
+        rng = np.random.default_rng([5, 0])
+        c = np.array([1.5, 0.0])
+        d0 = -c + 0.5 * rng.standard_normal((60, 2))
+        d1 = c + 0.5 * rng.standard_normal((60, 2))
+        rows = [f"{a!r},{b!r},{label}\n" for label, pts in ((0, d0), (1, d1))
+                for a, b in pts.tolist()]
+        data = write_csv(tmp_path / "d.csv", "i_1,i_2,v_1\n" + "".join(rows))
+        query = write_csv(tmp_path / "q.csv", "i_1,i_2\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in rng.uniform([-4.0, -3.0], [4.0, 3.0],
+                                                     (40, 2)).tolist()))
+        config = write_config(tmp_path / "c.json",
+                              {"kernel": {"family": "se", "lengthscale": 0.7}})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve called")
+
+        for name in ("eigvalsh", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        with pytest.warns(RuntimeWarning, match="not strictly positive definite"):
+            assert run_cli(["classify-svm", "--config", config, "--data", data,
+                            "--query", query, "--out", tmp_path / "out"]) == 0
+
     def test_svm_non_separable_exits_one(self, tmp_path):
         config = write_config(tmp_path / "c.json",
                               {"kernel": {"family": "linear"}})
@@ -772,6 +798,13 @@ class TestVerifyCommands:
         config = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
         assert run_cli(["verify", "entropy", "--config", config, "--out", out]) == 0
+
+    @pytest.mark.parametrize("gate", ["mse_pass", "identity_pass"])
+    def test_gmt_passes_through_the_report_gates(self, monkeypatch, gate):
+        verify_gmt = VERIFY_TARGETS["gmt"]
+        assert verify_gmt(n_models=2, n_alternatives=3)["passed"] is True
+        monkeypatch.setattr(GmtReport, gate, property(lambda self: False))
+        assert verify_gmt(n_models=2, n_alternatives=3)["passed"] is False
 
     def test_continuity(self, tmp_path):
         config = write_config(tmp_path / "c.json")

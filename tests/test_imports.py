@@ -91,3 +91,6 @@ def test_deleted_members_stay_deleted():
     assert list(inspect.signature(olskit.risk).parameters)[0] == "est"
     assert list(inspect.signature(importlib.import_module("olskit.cli").load_csv)
                 .parameters) == ["path"]
+    linalg = importlib.import_module("olskit.linalg")
+    assert "values" not in inspect.signature(linalg.check_psd).parameters
+    assert not hasattr(linalg.Tolerance, "support_rtol")  # support_threshold

@@ -156,12 +156,6 @@ class TestCheckPsd:
         assert np.array_equal(gate.matrix, symmetrize(k))
         assert np.array_equal(gate.matrix, gate.matrix.T)
 
-    def test_values_requested_are_ascending_eigenvalues(self):
-        k = np.diag([3.0, 1.0, 2.0])
-        gate = check_psd(k, values=True)
-        assert np.array_equal(gate.values, [1.0, 2.0, 3.0])
-        assert gate.vectors is None
-
 
 class TestSpectralNorm:
     def test_identity(self):

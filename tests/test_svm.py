@@ -262,6 +262,58 @@ class TestFailureModes:
             SvmProblem(spec, [[0.0]], [[1.0]])
 
 
+def prescribed_spectrum_problem(rng, lam_min_over_floor):
+    """Points 0..n-1 whose kernel is Q diag(lam) Q^T, lambda_min set in floors.
+
+    Every other eigenvalue lies in [1e-3, 0.9], so max|K| < 1 and the gate's
+    floor is abs_psd itself.
+    """
+    n = int(rng.integers(3, 30))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([[lam_min_over_floor * 1e-10], rng.uniform(1e-3, 0.9, n - 1)])
+    k = (q * lam) @ q.T
+    k = 0.5 * (k + k.T)
+    assert np.abs(k).max() < 1.0
+    spec = KernelSpec("custom", eval_hook=lambda i, j: k[int(i[0]), int(j[0])][None, None])
+    n1 = int(rng.integers(1, n))
+    pts = np.arange(float(n))[:, None]
+    return SvmProblem(spec, pts[n1:], pts[:n1]), k  # [d1; d0] is points 0..n-1
+
+
+@pytest.mark.parametrize("lam_min_over_floor, verdict", [
+    (10.0, "quiet"), (2.0, "quiet"), (0.5, "warns"), (0.0, "warns"), (-10.0, "rejects"),
+])
+def test_strict_pd_warning_follows_lambda_min(lam_min_over_floor, verdict, monkeypatch):
+    # the warning fires exactly when lambda_min <= floor, decided by Cholesky:
+    # an eigensolve runs only to name lambda_min in a rejection
+    eigvalsh = np.linalg.eigvalsh
+    eigensolves = []
+
+    def recorded(a, *args, **kwargs):
+        eigensolves.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    rng = np.random.default_rng([4409, int(lam_min_over_floor * 10) + 100])
+    for _ in range(25):
+        problem, k = prescribed_spectrum_problem(rng, lam_min_over_floor)
+        lam_min = float(eigvalsh(k)[0])
+        eigensolves.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if verdict == "rejects":
+                assert lam_min < -1e-10
+                with pytest.raises(NotPsdError, match="eigenvalue"):
+                    problem.signed_gram
+                assert len(eigensolves) == 1
+                continue
+            problem.signed_gram
+        assert eigensolves == []
+        warned = [w for w in caught if "strictly positive definite" in str(w.message)]
+        assert len(warned) == (verdict == "warns")
+        assert (lam_min <= 1e-10) == (verdict == "warns")
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_support_solve_matches_block_assembly(seed):
     # the KKT matrix is filled in place, entry for entry the np.block one
