@@ -311,7 +311,14 @@ class Config:
 
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
-        raise ConfigError(f"{path}: {message}")
+        raise ConfigError(f"{path}: {message}" if path else message)
+
+
+def _object(raw: dict, name: str) -> dict:
+    """``raw[name]``, or ``{}`` when absent; a non-object block is bad input."""
+    block = raw.get(name, {})
+    _require(isinstance(block, dict), name, "must be an object")
+    return block
 
 
 def _as_number(value, path: str) -> float:
@@ -335,9 +342,8 @@ def config_from_dict(raw: dict) -> Config:
         _require(key in known, key, "unknown configuration field")
 
     _require("kernel" in raw, "kernel", "required field is missing")
-    _require(isinstance(raw["kernel"], dict), "kernel", "must be an object")
     kernel = dict(_KERNEL_DEFAULTS)
-    for key, value in raw["kernel"].items():
+    for key, value in _object(raw, "kernel").items():
         _require(key in kernel, f"kernel.{key}", "unknown kernel field")
         kernel[key] = value
     _require(isinstance(kernel["family"], str), "kernel.family",
@@ -362,7 +368,7 @@ def config_from_dict(raw: dict) -> Config:
     _as_int(raw["seed"], "seed", 0)
 
     tolerances = {"rcond": 1e-12, "abs_psd": 1e-10}
-    for key, value in raw.get("tolerances", {}).items():
+    for key, value in _object(raw, "tolerances").items():
         _require(key in tolerances, f"tolerances.{key}", "unknown tolerance field")
         tolerances[key] = _as_number(value, f"tolerances.{key}")
         _require(0 < tolerances[key] < 1, f"tolerances.{key}",
@@ -373,7 +379,7 @@ def config_from_dict(raw: dict) -> Config:
     blocks = {}
     for name, defaults in _BLOCK_DEFAULTS.items():
         block = dict(defaults)
-        for key, value in raw.get(name, {}).items():
+        for key, value in _object(raw, name).items():
             _require(key in defaults, f"{name}.{key}", "unknown field")
             block[key] = value
         blocks[name] = block
@@ -520,7 +526,7 @@ def _run_krige(config: Config, data: IndexedDataset, query: IndexedDataset,
     result = krige(design, observed_idx, data.values,
                    project=config.blocks["krige"]["project"])
     reproduction = float(
-        np.abs(result.values[observed_idx] - data.values).max()
+        np.abs(result.values[observed_idx] - data.values).max(initial=0.0)
     )
     ent_grid = default_epsilon_grid(spec, points) if spec.q == 1 else None
     metrics = {
@@ -621,7 +627,7 @@ def _run_condition(config: Config, data: IndexedDataset, query: IndexedDataset,
     cond = conditional_gaussian(model, obs, data.values.ravel())
     draws = stochastic_ols_sample(cond, seed, config.samples)
     fiber = float(
-        np.abs(draws @ obs.matrix.T - data.values.ravel()[None, :]).max()
+        np.abs(draws @ obs.matrix.T - data.values.ravel()[None, :]).max(initial=0.0)
     )
     metrics = {
         "n_design_points": int(points.shape[0]),

@@ -153,25 +153,22 @@ class KernelSpec:
         return self.coregionalization
 
 
-_BLOCK = 1 << 15  # entries per row block of an (n, m) kernel pass, ~256 kB
+_BLOCK = 1 << 15  # entries per tile of a kernel pass, ~256 kB
 
 
-def _row_blocks(n: int, m: int) -> tuple[int, list[slice]]:
-    """Rows per block and the row slices of an (n, m) array, ~``_BLOCK`` entries each."""
-    step = max(1, _BLOCK // max(m, 1))
-    return min(step, n), [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
-def _triangle_blocks(n: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) whose blocks [lo:hi, :hi] tile the lower triangle
-    of an n x n array, each of at most ``_BLOCK`` entries (at least one row)."""
-    blocks, lo = [], 0
+def _tiles(n: int, m: int | None = None) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of at most ``_BLOCK`` entries each (at least one
+    row) that tile an (n, m) array or, when ``m`` is None, whose blocks
+    [lo:hi, :hi] tile the lower triangle of an n x n array."""
+    tiles, lo = [], 0
     while lo < n:
-        # the largest k with k (lo + k) <= _BLOCK
-        k = max(1, (math.isqrt(lo * lo + 4 * _BLOCK) - lo) // 2)
-        blocks.append((lo, min(lo + k, n)))
-        lo = blocks[-1][1]
-    return blocks
+        if m is None:  # the largest k with k (lo + k) <= _BLOCK
+            k = (math.isqrt(lo * lo + 4 * _BLOCK) - lo) // 2
+        else:
+            k = _BLOCK // max(m, 1)
+        tiles.append((lo, min(lo + max(k, 1), n)))
+        lo = tiles[-1][1]
+    return tiles
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray, out: np.ndarray,
@@ -244,39 +241,55 @@ def _stationary_block(spec: KernelSpec, out: np.ndarray, a: np.ndarray,
     out *= a
 
 
-def _triangle_pass(spec: KernelSpec, x: np.ndarray, metric: bool) -> np.ndarray:
-    """Stationary kernel matrix of the rows of x against themselves, or with
-    ``metric`` their sqrt(t_c) distances, evaluated on the lower triangle.
+def _to_distances(blk: np.ndarray, d_rows: np.ndarray, d_cols: np.ndarray,
+                  scratch: np.ndarray) -> None:
+    """Turn kernel values s_ab in ``blk`` into sqrt(max((s_aa + s_bb) - 2 s_ab, 0)),
+    in place, with s_aa from ``d_rows`` and s_bb from ``d_cols``.
 
-    (x_a - x_b)^2 is exactly (x_b - x_a)^2 and every later step is
-    elementwise, so both triangles hold the same bits: each block
-    [lo:hi, :hi] is computed in contiguous scratch, written once and
-    mirrored once.  A set small enough for one block is computed in the
-    output itself, so it takes no more scratch than ``scalar_kernel``'s
-    rectangular pass.  The distances sqrt(max((s_aa + s_bb) - 2 s_ab, 0)) are
-    finished in the same pass, with s_aa read from the diagonals of the
-    blocks done so far, so no n x n kernel matrix is kept beside them.
+    ``scratch`` is of ``blk``'s shape.
     """
-    n = x.shape[0]
-    blocks = _triangle_blocks(n)
-    size = max(((hi - lo) * hi for lo, hi in blocks), default=0)
-    out = np.empty((n, n))
-    whole = len(blocks) <= 1  # one block is all of out, contiguous already
-    c = out.reshape(-1) if whole else np.empty(size)
+    np.add.outer(d_rows, d_cols, out=scratch)
+    blk *= 2.0
+    np.subtract(scratch, blk, out=blk)
+    np.maximum(blk, 0.0, out=blk)
+    np.sqrt(blk, out=blk)
+
+
+def _stationary_pass(spec: KernelSpec, x: np.ndarray, y: np.ndarray,
+                     metric: bool = False) -> np.ndarray:
+    """Stationary kernel values between the rows of x and of y, or with
+    ``metric`` (only for y is x) their sqrt(t_c) distances, one tile at a time.
+
+    Each tile holds at most ``_BLOCK`` entries (or one row) and two
+    tile-sized scratch buffers go with it, so a pass stays in cache.  Tiles of an (n, m)
+    array are evaluated in place in the output.  A point set against
+    itself (y is x) is evaluated on the lower triangle only: (x_a - x_b)^2
+    is exactly (x_b - x_a)^2 and every later step is elementwise, so both
+    triangles hold the same bits, and each block [lo:hi, :hi] is computed
+    in contiguous scratch, written once and mirrored once.  A set small
+    enough for one tile is computed in the output itself.  The distances
+    are finished in the same pass, with s_aa read from the diagonals of
+    the blocks done so far, so no n x n kernel matrix is kept beside them.
+    """
+    n, m = x.shape[0], y.shape[0]
+    triangle = y is x
+    tiles = [(lo, hi, hi if triangle else m)
+             for lo, hi in _tiles(n, None if triangle else m)]
+    size = max(((hi - lo) * w for lo, hi, w in tiles), default=0)
+    out = np.empty((n, m))
+    mirror = triangle and len(tiles) > 1  # one triangle tile is all of out
+    c = np.empty(size) if mirror else None
     a, b = np.empty(size), np.empty(size)
     diag = np.empty(n) if metric else None
-    for lo, hi in blocks:
-        blk, ta, tb = (buf[:(hi - lo) * hi].reshape(hi - lo, hi) for buf in (c, a, b))
-        _squared_distances(x[lo:hi], x[:hi], blk, ta)
+    for lo, hi, w in tiles:
+        ta, tb = (buf[:(hi - lo) * w].reshape(hi - lo, w) for buf in (a, b))
+        blk = c[:(hi - lo) * w].reshape(hi - lo, w) if mirror else out[lo:hi, :w]
+        _squared_distances(x[lo:hi], y[:w], blk, ta)
         _stationary_block(spec, blk, ta, tb)
         if metric:
             diag[lo:hi] = blk[:, lo:].diagonal()
-            np.add.outer(diag[lo:hi], diag[:hi], out=ta)  # ta is free again
-            blk *= 2.0
-            np.subtract(ta, blk, out=blk)
-            np.maximum(blk, 0.0, out=blk)
-            np.sqrt(blk, out=blk)
-        if not whole:
+            _to_distances(blk, diag[lo:hi], diag[:hi], ta)  # ta is free again
+        if mirror:
             out[lo:hi, :hi] = blk
             out[:lo, lo:hi] = blk[:, :lo].T
     return out
@@ -285,13 +298,12 @@ def _triangle_pass(spec: KernelSpec, x: np.ndarray, metric: bool) -> np.ndarray:
 def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
     """Scalar kernel values between the rows of x and of y, as an (n, m) array.
 
-    Stationary families are evaluated in row blocks of about 2^15 entries,
-    straight into the one (n, m) output, with two block-sized scratch
-    buffers, so a pass stays in cache.  Every step is elementwise and keeps
-    the operation order of its family's closed form, so each value is
-    bitwise the one that closed form gives, whatever the block size.  A
-    point set against itself (the same array as x and y) is evaluated on
-    the lower triangle only and mirrored, which gives the same bits.
+    Stationary families take one tiled pass (``_stationary_pass``): tiles
+    of about 2^15 entries of the (n, m) output or, for a point set against
+    itself (the same array as x and y), of its lower triangle, mirrored.
+    Every step is elementwise and keeps the operation order of its
+    family's closed form, so each value is bitwise the one that closed
+    form gives, whatever the tiling.
     Dot-product families take one ``x @ y.T`` product and finish it in
     place; it is not bitwise symmetric, so they take it for x against x too.
     """
@@ -314,18 +326,7 @@ def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
         return out
     if spec.family not in _STATIONARY:
         raise ValueError(f"scalar form undefined for family {spec.family!r}")
-    if y is x:
-        return _triangle_pass(spec, x, metric=False)
-    n, m = x.shape[0], y.shape[0]
-    rows_per_block, blocks = _row_blocks(n, m)
-    out = np.empty((n, m))
-    a, b = np.empty((rows_per_block, m)), np.empty((rows_per_block, m))
-    for rows in blocks:
-        blk = out[rows]
-        k = blk.shape[0]
-        _squared_distances(x[rows], y, blk, a[:k])
-        _stationary_block(spec, blk, a[:k], b[:k])
-    return out
+    return _stationary_pass(spec, x, y)
 
 
 def kernel_eval(spec: KernelSpec, i, j) -> np.ndarray:
@@ -372,9 +373,9 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     The layout is ``cross_kernel``'s, and the matrix is returned as
     evaluated, neither symmetrized nor checked: ``FiniteModel`` is the one
     gate for a prior covariance, and it symmetrizes an asymmetry within
-    its floor or rejects one beyond it.  Stationary families evaluate the
-    lower triangle only (``scalar_kernel``), so their matrix is exactly
-    symmetric.
+    its floor or rejects one beyond it.  Stationary families take the
+    triangle tiling of the one stationary pass and mirror it, so their
+    matrix is exactly symmetric.
     """
     pts = as_points(points)
     if pts.shape[0] == 0:
@@ -504,18 +505,18 @@ def metric_matrix(spec: KernelSpec, points, covalue=None) -> np.ndarray:
     index space; for q = 1 the unit co-value is implied.
 
     With s the pulled-back kernel matrix, the distance is
-    sqrt(max((s_aa + s_bb) - 2 s_ab, 0)).  A stationary family with the
-    unit co-value and no mixing matrix computes each block of s on the
-    lower triangle and turns it into distances in the same pass.  Every
-    other kernel builds s first, reads its diagonal, and overwrites each
-    row block of s with its distances.  Either way the only n x n array is
-    the result.
+    sqrt(max((s_aa + s_bb) - 2 s_ab, 0)), finished by ``_to_distances``.
+    A stationary family with the unit co-value and no mixing matrix takes
+    the kernel's own triangle pass, which finishes each tile of s into
+    distances as it goes.  Every other kernel builds s first, reads its
+    diagonal, and finishes s in place one row tile at a time.  Either way
+    the only n x n array is the result.
     """
     pts = as_points(points)
     if spec.q > 1 and covalue is None:
         raise ValueError("metric_matrix needs an explicit covalue when q > 1")
     if spec.family in _STATIONARY and covalue is None and spec.coregionalization is None:
-        return _triangle_pass(spec, pts, metric=True)
+        return _stationary_pass(spec, pts, pts, metric=True)
     n, q = pts.shape[0], spec.q
     c = cross_kernel(spec, pts, pts)
     if q == 1 and covalue is None:
@@ -524,16 +525,11 @@ def metric_matrix(spec: KernelSpec, points, covalue=None) -> np.ndarray:
         e = np.atleast_1d(np.asarray(covalue, float))
         s = np.einsum("aibj,ij->ab", c.reshape(n, q, n, q), np.outer(e, e))
     diag = s.diagonal().copy()
-    rows_per_block, blocks = _row_blocks(n, n)
-    t = np.empty((rows_per_block, n))
-    for rows in blocks:
-        blk = s[rows]
-        tb = t[:blk.shape[0]]
-        np.add.outer(diag[rows], diag, out=tb)
-        blk *= 2.0
-        np.subtract(tb, blk, out=blk)
-        np.maximum(blk, 0.0, out=blk)
-        np.sqrt(blk, out=blk)
+    tiles = _tiles(n, n)  # one row is a whole tile once n > _BLOCK
+    t = np.empty(max(((hi - lo) * n for lo, hi in tiles), default=0))
+    for lo, hi in tiles:
+        tb = t[:(hi - lo) * n].reshape(hi - lo, n)
+        _to_distances(s[lo:hi], diag[lo:hi], diag, tb)
     return s
 
 

@@ -195,26 +195,18 @@ def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
     return PsdSpectrum(sym, w, v, floor)
 
 
-def psd_eigh(k, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a PSD matrix, descending, deterministic signs.
-
-    Raises NotPsdError when ``check_psd`` rejects ``k``.
-    """
-    _, w, v, _ = check_psd(as_matrix(k, "psd matrix"), tol, vectors=True)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    v = _fix_eigvec_signs(v[:, order])
-    return w, v
-
-
 def psd_factor(k, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Square factor F with F F^T ~= K for PSD input.
 
-    Eigenvalues within ``abs_psd`` of zero (including small negatives) are
-    clipped to exactly zero, which keeps the factor supported on the
-    numerically trustworthy part of the range; the reconstruction error is
-    bounded by ``n * abs_psd`` in Frobenius norm.
+    The columns are eigenvectors in descending eigenvalue order, each with
+    its first significantly nonzero entry positive, so the factor is
+    deterministic.  Eigenvalues below ``abs_psd`` (including small
+    negatives) are set to exactly zero, which keeps the factor supported
+    on the numerically trustworthy part of the range; the reconstruction
+    error is bounded by ``n * abs_psd`` in Frobenius norm.  Raises
+    NotPsdError when ``check_psd`` rejects ``k``.
     """
-    w, v = psd_eigh(k, tol)
-    w = np.where(w < tol.abs_psd, 0.0, w)
-    return v * np.sqrt(w)
+    _, w, v, _ = check_psd(as_matrix(k, "psd matrix"), tol, vectors=True)
+    order = np.argsort(w)[::-1]
+    w = w[order]
+    return _fix_eigvec_signs(v[:, order]) * np.sqrt(np.where(w < tol.abs_psd, 0.0, w))

@@ -258,10 +258,11 @@ def einsum_metric_matrix(blocks: np.ndarray, covalue: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(diag[:, None] + diag[None, :] - 2.0 * s, 0.0))
 
 
-def symmetric_kernel_oracle(spec, x: np.ndarray, metric: bool) -> np.ndarray:
-    """A stationary kernel's matrix of x against itself, or with ``metric``
-    its sqrt(t_c) distances, as whole-array closed-form expressions."""
-    s = closed_form_kernel(spec.family, x, x, spec.variance, spec.lengthscale,
+def stationary_kernel_oracle(spec, x: np.ndarray, y: np.ndarray,
+                             metric: bool = False) -> np.ndarray:
+    """A stationary kernel's matrix of x against y, or with ``metric`` (for x
+    against itself) its sqrt(t_c) distances, as whole-array closed forms."""
+    s = closed_form_kernel(spec.family, x, y, spec.variance, spec.lengthscale,
                            spec.degree, spec.support_radius)
     return einsum_metric_matrix(s, 1.0) if metric else s
 

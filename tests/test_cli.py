@@ -33,7 +33,7 @@ from helpers import (
     design_points_tuples,
     first_rows_tuples,
     format_csv_cellwise,
-    symmetric_kernel_oracle,
+    stationary_kernel_oracle,
 )
 
 MINIMAL = {"kernel": {"family": "se", "lengthscale": 1.0, "variance": 1.0}, "seed": 0}
@@ -93,6 +93,22 @@ class TestConfig:
         code = run_cli(["verify", "uii", "--config", config, "--out", tmp_path / "out"])
         assert code == 2
         assert f"error: {block}.{key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[1], 5, None], ids=["list", "number", "null"])
+    @pytest.mark.parametrize("block", ["tolerances", "krige", "svm", "fuzzy",
+                                       "condition", "verify"])
+    def test_non_object_block_is_input_error(self, tmp_path, capsys, block, value):
+        config = write_config(tmp_path / "c.json", {block: value})
+        code = run_cli(["verify", "uii", "--config", config, "--out", tmp_path / "out"])
+        assert code == 2
+        assert f"error: {block}: must be an object\n" in capsys.readouterr().err
+
+    def test_non_object_root_is_input_error(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text("[1]")
+        code = run_cli(["verify", "uii", "--config", config, "--out", tmp_path / "out"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config root must be a JSON object\n"
 
     @pytest.mark.parametrize("extra, path", [
         ({"samples": True}, "samples"),
@@ -599,6 +615,33 @@ class TestConditionCommand:
         assert (out_a / "samples.csv").read_bytes() != (out_b / "samples.csv").read_bytes()
 
 
+class TestDataWithoutRows:
+    """A data file with a header and no rows leaves the prior as it is."""
+
+    def run(self, tmp_path, command):
+        config = write_config(tmp_path / "c.json", {"samples": 50})
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n")
+        query = write_csv(tmp_path / "q.csv", "i_1\n0.0\n0.5\n1.0\n")
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", config, "--data", data,
+                        "--query", query, "--out", out]) == 0
+        return out, json.loads((out / "report.json").read_text())
+
+    def test_krige_predicts_the_prior_mean(self, tmp_path):
+        out, report = self.run(tmp_path, "krige")
+        assert report["metrics"]["n_observed"] == 0
+        assert report["metrics"]["reproduction_max_error"] == 0.0
+        predictions = np.loadtxt(out / "predictions.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(predictions[:, 1], np.zeros(3))
+
+    def test_condition_draws_from_the_prior(self, tmp_path):
+        out, report = self.run(tmp_path, "condition")
+        assert report["metrics"]["fiber_max_residual"] == 0.0
+        assert report["metrics"]["posterior_mean_norm"] == 0.0
+        draws = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
+        assert draws.shape == (50, 3) and np.all(draws.std(axis=0) > 0.0)
+
+
 class TestIllConditionedInput:
     """400 sorted uniform points on [0, 10], Matern-5/2, every 4th observed."""
 
@@ -771,11 +814,11 @@ class TestOutputBytesUnderOracles:
                 return oracle(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(kernels, "_triangle_pass", counted(symmetric_kernel_oracle))
+        monkeypatch.setattr(kernels, "_stationary_pass", counted(stationary_kernel_oracle))
         for module in (kernels, arrays, cli, svm):
             monkeypatch.setattr(module, "_first_rows", counted(first_rows_tuples))
         assert run_cli([*argv, "--out", tmp_path / "oracle"]) == 0
-        assert set(calls) == {"symmetric_kernel_oracle", "first_rows_tuples"}
+        assert set(calls) == {"stationary_kernel_oracle", "first_rows_tuples"}
         shipped = sorted((tmp_path / "shipped").iterdir())
         assert [p.name for p in shipped] == sorted(
             p.name for p in (tmp_path / "oracle").iterdir())

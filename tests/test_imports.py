@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # second entry points to a capability that has one; each stays deleted
-DELETED = ("delta_norm", "svm_decision", "svm_classify")
+DELETED = ("delta_norm", "svm_decision", "svm_classify", "psd_eigh")
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "olskit").glob("*.py")),

@@ -29,7 +29,7 @@ from helpers import (
     exhaustive_min_cover,
     greedy_cover_count,
     greedy_entropy,
-    symmetric_kernel_oracle,
+    stationary_kernel_oracle,
 )
 
 ALL_FAMILIES = [
@@ -294,15 +294,16 @@ class TestBitwiseValues:
 
 @pytest.fixture
 def triangle_calls(monkeypatch):
-    """The ``metric`` flag of every triangle pass taken."""
+    """The ``metric`` flag of every stationary pass taken on a triangle."""
     calls = []
-    triangle_pass = kernels._triangle_pass
+    stationary_pass = kernels._stationary_pass
 
-    def recorded(spec, x, metric):
-        calls.append(metric)
-        return triangle_pass(spec, x, metric)
+    def recorded(spec, x, y, metric=False):
+        if y is x:
+            calls.append(metric)
+        return stationary_pass(spec, x, y, metric)
 
-    monkeypatch.setattr(kernels, "_triangle_pass", recorded)
+    monkeypatch.setattr(kernels, "_stationary_pass", recorded)
     return calls
 
 
@@ -318,8 +319,8 @@ class TestTrianglePass:
             monkeypatch.setattr(kernels, "_BLOCK", block)
         rng = np.random.default_rng([n, dim])
         x = rng.uniform(0.0, 0.06 * n + 1.0, (n, dim))
-        k = symmetric_kernel_oracle(spec, x, metric=False)
-        dist = symmetric_kernel_oracle(spec, x, metric=True)
+        k = stationary_kernel_oracle(spec, x, x)
+        dist = stationary_kernel_oracle(spec, x, x, metric=True)
         got = gram(spec, x)
         assert np.array_equal(got, k) and np.array_equal(got, got.T)
         assert np.array_equal(metric_matrix(spec, x), dist)
@@ -334,12 +335,12 @@ class TestTrianglePass:
 
     def test_blocks_tile_the_lower_triangle(self):
         for n in (1, 2, 65, 66, 181, 182, 700, 40000):
-            blocks = kernels._triangle_blocks(n)
+            blocks = kernels._tiles(n)
             assert blocks[0][0] == 0 and blocks[-1][1] == n
             assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
             assert all(hi > lo and ((hi - lo) * hi <= kernels._BLOCK or hi - lo == 1)
                        for lo, hi in blocks)
-        sizes = [hi - lo for lo, hi in kernels._triangle_blocks(700)]
+        sizes = [hi - lo for lo, hi in kernels._tiles(700)]
         assert len(sizes) >= 3 and sizes[-1] < sizes[-2]  # a ragged last block
 
     @pytest.mark.parametrize("spec, covalue", [
@@ -361,7 +362,7 @@ class TestTrianglePass:
 
 
 def _block_sizes(n, m):
-    return [rows.stop - rows.start for rows in kernels._row_blocks(n, m)[1]]
+    return [hi - lo for lo, hi in kernels._tiles(n, m)]
 
 
 class TestBlockedEvaluation:
@@ -387,14 +388,23 @@ class TestBlockedEvaluation:
         assert len(_block_sizes(5000, 13)) >= 2
         assert len(_block_sizes(700, 700)) >= 3
 
-    @pytest.mark.parametrize("spec, covalue, n", [
-        (KernelSpec("matern52", lengthscale=0.9, variance=1.1), None, 700),
-        (KernelSpec("se", lengthscale=0.4, variance=2.0), None, 700),
-        (KernelSpec("wendland", support_radius=1.5), None, 700),
-        (KernelSpec("polynomial", lengthscale=2.0, degree=3), None, 700),
-        (KernelSpec("matern32", output_dim=2, coregionalization=MIX), [1.0, -0.5], 300),
-    ], ids=["matern52", "se", "wendland", "polynomial", "q2-covalue"])
-    def test_metric_matrix_matches_einsum(self, spec, covalue, n):
+    @pytest.mark.parametrize("spec, covalue, n, block", [
+        (KernelSpec("matern52", lengthscale=0.9, variance=1.1), None, 700, None),
+        (KernelSpec("se", lengthscale=0.4, variance=2.0), None, 700, None),
+        (KernelSpec("wendland", support_radius=1.5), None, 700, None),
+        (KernelSpec("polynomial", lengthscale=2.0, degree=3), None, 700, None),
+        (KernelSpec("matern32", output_dim=2, coregionalization=MIX), [1.0, -0.5], 300,
+         None),
+        # the general path with one row wider than a tile
+        (KernelSpec("polynomial", lengthscale=2.0, degree=3), None, 700, 64),
+        (KernelSpec("matern32", output_dim=2, coregionalization=MIX), [1.0, -0.5], 300,
+         64),
+    ], ids=["matern52", "se", "wendland", "polynomial", "q2-covalue",
+            "polynomial-block-64", "q2-covalue-block-64"])
+    def test_metric_matrix_matches_einsum(self, spec, covalue, n, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(kernels, "_BLOCK", block)
+            assert kernels._tiles(n, n) == [(a, a + 1) for a in range(n)]
         x = np.random.default_rng(n).uniform(0.0, 8.0, (n, 2))
         e = 1.0 if covalue is None else covalue
         want = einsum_metric_matrix(closed_form_blocks(spec, x), e)
