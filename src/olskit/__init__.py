@@ -10,7 +10,6 @@ trained as a nearest-point problem between convex hulls.
 from .arrays import (
     ArrayDesign,
     KrigeResult,
-    TransformSpec,
     fuzzy_classify,
     krige,
     model_from_design,
@@ -58,7 +57,6 @@ from .model import (
     ContractError,
     FiniteModel,
     GmtReport,
-    ObservationMap,
     OlsEstimator,
     RiskReport,
     SupportViolationError,

@@ -1,32 +1,37 @@
 """Finite array spaces: restriction and transform maps, kriging, fuzzy labels.
 
 An ArrayDesign discretizes the index space to a finite point list with a
-kernel and an optional mean array.  Observing a subset of points is a
-row-selection map; the general transform composes a point re-indexing with
-a linear value map.  Kriging runs the least-squares estimator through the
-restriction map, which reproduces observed values exactly and extends them
-to the full design.
+kernel and a mean array, one length-q row per point.  Every map returned
+here is a plain p x n matrix: observing a subset of points is a
+row-selection map, and the general transform composes a point re-indexing
+(its target points) with a linear value map.  Kriging runs the
+least-squares estimator through the restriction map, which reproduces
+observed values exactly and extends them to the full design.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .kernels import KernelSpec, _first_rows, _locate, as_points, gram
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, matrix_rank
-from .model import FiniteModel, ObservationMap, ols_build, ols_estimate
+from .model import FiniteModel, ols_build, ols_estimate
 
 
 @dataclass(frozen=True, eq=False)
 class ArrayDesign:
-    """Finite index set, covariance kernel, and optional mean array."""
+    """Finite index set, covariance kernel, and mean array.
+
+    ``mean`` holds one length-q row per index point, (n_points, q); it is
+    zero when omitted.
+    """
 
     index_points: np.ndarray
     kernel: KernelSpec
-    mean_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    mean: np.ndarray | None = None
     tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self) -> None:
@@ -36,6 +41,14 @@ class ArrayDesign:
         if np.any(_first_rows(pts) != np.arange(pts.shape[0])):
             raise ValueError("design index points must be distinct")
         object.__setattr__(self, "index_points", pts)
+        shape = (pts.shape[0], self.kernel.q)
+        if self.mean is None:
+            mean = np.zeros(shape)
+        else:
+            mean = as_matrix(self.mean, "mean")
+            if mean.shape != shape:
+                raise ValueError(f"mean must have shape {shape}, got {mean.shape}")
+        object.__setattr__(self, "mean", mean)
 
     @property
     def n_points(self) -> int:
@@ -45,36 +58,11 @@ class ArrayDesign:
     def q(self) -> int:
         return self.kernel.q
 
-    def mean_array(self) -> np.ndarray:
-        """Mean values at every design point as an (n_points, q) array."""
-        if self.mean_fn is None:
-            return np.zeros((self.n_points, self.q))
-        rows = [
-            np.atleast_1d(np.asarray(self.mean_fn(p), dtype=float))
-            for p in self.index_points
-        ]
-        out = np.vstack(rows)
-        if out.shape != (self.n_points, self.q):
-            raise ValueError("mean_fn must return one length-q value per point")
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class TransformSpec:
-    """Point re-indexing plus a linear value map w applied at each target."""
-
-    target_points: np.ndarray
-    value_map: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "target_points", as_points(self.target_points))
-        object.__setattr__(self, "value_map", as_matrix(self.value_map, "value_map"))
-
 
 def model_from_design(design: ArrayDesign) -> FiniteModel:
     """Flatten a design to a finite model: n = n_points * q, K = Gram."""
     return FiniteModel(
-        design.mean_array().ravel(),
+        design.mean.ravel(),
         gram(design.kernel, design.index_points),
         tol=design.tol,
     )
@@ -100,34 +88,36 @@ def _value_columns(design: ArrayDesign, idx: list[int]) -> np.ndarray:
     return (np.asarray(idx, dtype=int)[:, None] * q + np.arange(q)).ravel()
 
 
-def restriction_map(design: ArrayDesign, subset: Sequence[int]) -> ObservationMap:
+def restriction_map(design: ArrayDesign, subset: Sequence[int]) -> np.ndarray:
     """Row-selection map evaluating an array at the given design positions."""
     idx = _validate_subset(design, subset)
     cols = _value_columns(design, idx)
     g = np.zeros((cols.size, design.n_points * design.q))
     # row block r is the identity on column block idx[r]
     g[np.arange(cols.size), cols] = 1.0
-    return ObservationMap(g)
+    return g
 
 
-def transform_map(design: ArrayDesign, spec: TransformSpec) -> ObservationMap:
+def transform_map(design: ArrayDesign, target_points, value_map) -> np.ndarray:
     """General array transform: (Upsilon a)(d) = w(a(i(d))).
 
+    ``value_map`` is the q_out x q matrix w applied at each target point.
     Each target point must be a member of the design's index set; the
     resulting map has the value block w at that point's column block.
     """
-    w = spec.value_map
+    targets = as_points(target_points)
+    w = as_matrix(value_map, "value_map")
     if w.shape[1] != design.q:
         raise ValueError(
             f"value_map has {w.shape[1]} columns, design value_dim is {design.q}"
         )
     q_out = w.shape[0]
     n = design.n_points * design.q
-    g = np.zeros((spec.target_points.shape[0] * q_out, n))
-    for row, point in enumerate(spec.target_points):
+    g = np.zeros((targets.shape[0] * q_out, n))
+    for row, point in enumerate(targets):
         i = _locate(point, design.index_points, "is not a design point")
         g[row * q_out:(row + 1) * q_out, i * design.q:(i + 1) * design.q] = w
-    return ObservationMap(g)
+    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +190,7 @@ def fuzzy_classify(design: ArrayDesign, d0: Sequence[int], d1: Sequence[int],
     flat = ArrayDesign(
         design.index_points,
         design.kernel,
-        mean_fn=lambda _p: np.array([prior]),
+        mean=np.full((design.n_points, 1), prior),
         tol=design.tol,
     )
     observed = i0 + i1

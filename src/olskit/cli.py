@@ -12,7 +12,8 @@ and ``verify {gmt|disintegration|uii|entropy|continuity}``.  One table,
 dispatches on it and ``_build_parser`` builds the subcommands from it.
 Exit code 0 means the run passed, 1 means a verification or numerical
 gate failed (stderr names each false flag and the metric it gates), 2
-means bad input.
+means bad input.  A library warning, such as the SVM's strict-definiteness
+warning, is printed to stderr as one ``warning: <message>`` line.
 
 Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
@@ -36,6 +37,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -431,10 +433,7 @@ def load_csv(path: str) -> IndexedDataset:
     header = [tok.strip() for tok in lines[0].split(",")]
     n_i = sum(1 for tok in header if tok.startswith("i_"))
     n_v = len(header) - n_i
-    expected = [f"i_{k}" for k in range(1, n_i + 1)] + [
-        f"v_{k}" for k in range(1, n_v + 1)
-    ]
-    if header != expected:
+    if header != _point_header(n_i, n_v):
         raise CsvError(
             f"{path} row 1: header must be i_1,...,i_d[,v_1,...,v_q], got "
             f"{','.join(header)}"
@@ -627,7 +626,7 @@ def _run_condition(config: Config, data: IndexedDataset, query: IndexedDataset,
     cond = conditional_gaussian(model, obs, data.values.ravel())
     draws = stochastic_ols_sample(cond, seed, config.samples)
     fiber = float(
-        np.abs(draws @ obs.matrix.T - data.values.ravel()[None, :]).max(initial=0.0)
+        np.abs(draws @ obs.T - data.values.ravel()[None, :]).max(initial=0.0)
     )
     metrics = {
         "n_design_points": int(points.shape[0]),
@@ -749,32 +748,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one ``warning: <message>`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        config = parse_config(args.config)
-        paths = {"config": args.config}
-        inputs: dict = {"paths": paths}
-        if getattr(args, "data", None):
-            inputs["data"] = load_csv(args.data)
-            paths["data"] = args.data
-        if getattr(args, "query", None):
-            inputs["query"] = load_csv(args.query)
-            paths["query"] = args.query
-        command = args.command
-        if command == "verify":
-            command = f"verify:{args.target}"
-        _report, code = run(command, config, inputs, args.out, seed=args.seed)
-        return code
-    except (ConfigError, CsvError, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # separation, convergence or numerical failures: the inputs parsed
-        # but the run could not meet its contract
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            config = parse_config(args.config)
+            paths = {"config": args.config}
+            inputs: dict = {"paths": paths}
+            if getattr(args, "data", None):
+                inputs["data"] = load_csv(args.data)
+                paths["data"] = args.data
+            if getattr(args, "query", None):
+                inputs["query"] = load_csv(args.query)
+                paths["query"] = args.query
+            command = args.command
+            if command == "verify":
+                command = f"verify:{args.target}"
+            _report, code = run(command, config, inputs, args.out, seed=args.seed)
+            return code
+        except (ConfigError, CsvError, ValueError, TypeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except RuntimeError as exc:
+            # separation, convergence or numerical failures: the inputs parsed
+            # but the run could not meet its contract
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

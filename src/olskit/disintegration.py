@@ -27,7 +27,6 @@ import numpy as np
 from .linalg import NumericalError, as_matrix, as_vector, symmetrize
 from .model import (
     FiniteModel,
-    ObservationMap,
     OlsEstimator,
     ols_build,
     ols_estimate,
@@ -133,11 +132,10 @@ def residual_model(est: OlsEstimator) -> FiniteModel:
     return FiniteModel(mean, symmetrize(rkr), tol=model.tol)
 
 
-def conditional_gaussian(model: FiniteModel, obs, y,
-                         project: bool = False) -> ConditionalModel:
+def conditional_gaussian(model: FiniteModel, obs, y) -> ConditionalModel:
     """Gaussian conditional law at data y: mean est(y), covariance R K."""
     est = ols_build(model, obs)
-    mean = ols_estimate(est, y, project=project)
+    mean = ols_estimate(est, y)
     rcov = symmetrize(est.resid @ model.cov)
     return ConditionalModel(mean=mean, residual_cov=rcov, estimator=est)
 
@@ -354,7 +352,7 @@ def uii_counterexample():
         np.full(4, 0.25),
         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
     )
-    obs = ObservationMap(np.array([[1.0, 0.0]]))
+    obs = np.array([[1.0, 0.0]])
     conv = discrete_convolution(measure, obs)
     forbidden = np.array([1.0, 1.0])
 

@@ -578,15 +578,13 @@ def covering_number(spec: KernelSpec, points, eps: float, covalue=None) -> int:
     return int(_cover_radii(dist, _lexicographic_start(pts), float(eps)).size)
 
 
-def default_epsilon_grid(
-    spec: KernelSpec, points, count: int = 64, covalue=None
-) -> np.ndarray:
-    """Log-spaced eps grid from 1e-3 * diameter to the diameter."""
+def default_epsilon_grid(spec: KernelSpec, points, covalue=None) -> np.ndarray:
+    """64 log-spaced eps values from 1e-3 * diameter to the diameter."""
     dist = metric_matrix(spec, as_points(points), covalue)
     diam = float(dist.max())
     if diam <= 0.0:
         return np.array([1.0])
-    return np.geomspace(1e-3 * diam, diam, count)
+    return np.geomspace(1e-3 * diam, diam, 64)
 
 
 def entropy_integral(

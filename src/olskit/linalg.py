@@ -32,7 +32,8 @@ class Tolerance:
     """Numerical cutoffs used throughout the package.
 
     rcond    : relative singular-value cutoff for rank decisions.
-    abs_psd  : absolute eigenvalue slack for PSD checks and clipping.
+    abs_psd  : eigenvalue slack: times max(1, max|K|) for PSD checks, times
+               max|K| for clipping in ``psd_factor``.
     """
 
     rcond: float = 1e-12
@@ -144,7 +145,8 @@ class PsdSpectrum(NamedTuple):
     matrix: np.ndarray          # the input, symmetrized if it was not exactly
     values: np.ndarray | None   # ascending eigenvalues, when computed
     vectors: np.ndarray | None  # matching eigenvectors, when asked for
-    floor: float                # abs_psd * max(1, max|k|)
+    floor: float                # abs_psd * max(1, scale)
+    scale: float                # max|k|, 0 for an empty k
 
 
 def _cholesky_certifies(sym: np.ndarray, shift: float) -> bool:
@@ -179,7 +181,8 @@ def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
     n, m = k.shape
     if n != m:
         raise NotPsdError(f"{name} must be square, got {n}x{m}")
-    floor = tol.abs_psd * (max(1.0, float(k.max()), -float(k.min())) if k.size else 1.0)
+    scale = max(float(k.max()), -float(k.min())) if k.size else 0.0
+    floor = tol.abs_psd * max(1.0, scale)
     sym = k
     if not np.array_equal(k, k.T):
         if float(np.abs(k - k.T).max()) > floor:
@@ -192,7 +195,7 @@ def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
         w = np.linalg.eigvalsh(sym)
     if w is not None and w.size and float(w[0]) < -floor:
         raise NotPsdError(f"{name} is not PSD: eigenvalue {w[0]:.3e} below -abs_psd")
-    return PsdSpectrum(sym, w, v, floor)
+    return PsdSpectrum(sym, w, v, floor, scale)
 
 
 def psd_factor(k, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -200,13 +203,15 @@ def psd_factor(k, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     The columns are eigenvectors in descending eigenvalue order, each with
     its first significantly nonzero entry positive, so the factor is
-    deterministic.  Eigenvalues below ``abs_psd`` (including small
+    deterministic.  Eigenvalues below ``abs_psd * max|K|`` (including small
     negatives) are set to exactly zero, which keeps the factor supported
     on the numerically trustworthy part of the range; the reconstruction
-    error is bounded by ``n * abs_psd`` in Frobenius norm.  Raises
-    NotPsdError when ``check_psd`` rejects ``k``.
+    error is bounded by ``n * abs_psd * max|K|`` in Frobenius norm.  The
+    cut scales with K, so a covariance of any magnitude keeps its range.
+    Raises NotPsdError when ``check_psd`` rejects ``k``.
     """
-    _, w, v, _ = check_psd(as_matrix(k, "psd matrix"), tol, vectors=True)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    return _fix_eigvec_signs(v[:, order]) * np.sqrt(np.where(w < tol.abs_psd, 0.0, w))
+    gate = check_psd(as_matrix(k, "psd matrix"), tol, vectors=True)
+    order = np.argsort(gate.values)[::-1]
+    w = gate.values[order]
+    cut = tol.abs_psd * gate.scale
+    return _fix_eigvec_signs(gate.vectors[:, order]) * np.sqrt(np.where(w < cut, 0.0, w))

@@ -1,8 +1,8 @@
 """Finite covariance models and the pseudoinverse least-squares estimator.
 
 A model is a mean vector m and a PSD covariance K on R^n; an observation
-map is a dense p x n matrix G.  The least-squares estimator built from them
-is the affine map
+map is a dense p x n matrix G, passed as a plain 2-d array.  The
+least-squares estimator built from them is the affine map
 
     y  ->  m + B (y - G m),      B = K G^T (G K G^T)^+,
 
@@ -70,18 +70,8 @@ class FiniteModel:
         return self.mean.size
 
 
-@dataclass(frozen=True, eq=False)
-class ObservationMap:
-    """Dense p x n realization of a continuous linear map."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, "observation map"))
-
-
 def _obs_matrix(obs, n: int) -> np.ndarray:
-    g = obs.matrix if isinstance(obs, ObservationMap) else as_matrix(obs, "observation map")
+    g = as_matrix(obs, "observation map")
     if g.shape[1] != n:
         raise ValueError(f"observation map has {g.shape[1]} columns, model has n={n}")
     return g

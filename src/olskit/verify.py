@@ -25,11 +25,10 @@ from .model import (
 )
 
 
-def _random_model(rng: np.random.Generator, n: int, zero_mean: bool = False) -> FiniteModel:
+def _random_model(rng: np.random.Generator, n: int) -> FiniteModel:
     a = rng.standard_normal((n, n + 2))
     k = a @ a.T / n
-    m = np.zeros(n) if zero_mean else rng.standard_normal(n)
-    return FiniteModel(m, k)
+    return FiniteModel(rng.standard_normal(n), k)
 
 
 def verify_gmt(seed: int = 0, n_models: int = 20, n_alternatives: int = 100) -> dict:

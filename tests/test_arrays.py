@@ -4,7 +4,6 @@ import pytest
 from olskit import kernels
 from olskit.arrays import (
     ArrayDesign,
-    TransformSpec,
     fuzzy_classify,
     krige,
     model_from_design,
@@ -38,11 +37,16 @@ class TestModelFromDesign:
         assert np.allclose(model.cov, [[2.0]], atol=1e-15)
         assert np.array_equal(model.mean, [0.0])
 
-    def test_mean_function(self):
-        design = ArrayDesign(
-            [[0.0], [1.0]], KernelSpec("se"), mean_fn=lambda p: np.array([p[0] + 1.0])
-        )
+    def test_mean_array(self):
+        design = ArrayDesign([[0.0], [1.0]], KernelSpec("se"), mean=[[1.0], [2.0]])
         assert np.array_equal(model_from_design(design).mean, [1.0, 2.0])
+
+    @pytest.mark.parametrize("mean", [[1.0, 2.0], [[1.0]], [[1.0, 0.0], [2.0, 0.0]],
+                                      [[1.0], [np.nan]], [[np.inf], [2.0]]],
+                             ids=["flat", "short", "wide", "nan", "inf"])
+    def test_malformed_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="mean"):
+            ArrayDesign([[0.0], [1.0]], KernelSpec("se"), mean=mean)
 
     def test_two_point_entrywise(self):
         design = grid_design(n=2, ell=0.7)
@@ -130,19 +134,17 @@ class TestRestrictionMap:
     def test_full_subset_identity(self):
         design = grid_design(n=4)
         obs = restriction_map(design, [0, 1, 2, 3])
-        assert np.array_equal(obs.matrix, np.eye(4))
+        assert np.array_equal(obs, np.eye(4))
 
     def test_empty_subset_prior_mean(self):
-        design = ArrayDesign(
-            [[0.0], [1.0]], KernelSpec("se"), mean_fn=lambda p: np.array([2.0 * p[0]])
-        )
+        design = ArrayDesign([[0.0], [1.0]], KernelSpec("se"), mean=[[0.0], [2.0]])
         result = krige(design, [], np.zeros((0, 1)))
         assert np.allclose(result.values[:, 0], [0.0, 2.0], atol=1e-14)
 
     def test_singleton_one_hot(self):
         design = grid_design(n=3)
         obs = restriction_map(design, [1])
-        assert np.array_equal(obs.matrix, np.array([[0.0, 1.0, 0.0]]))
+        assert np.array_equal(obs, np.array([[0.0, 1.0, 0.0]]))
 
     def test_block_rows_for_vector_values(self):
         b = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -150,7 +152,7 @@ class TestRestrictionMap:
         obs = restriction_map(design, [2])
         want = np.zeros((2, 6))
         want[:, 4:6] = np.eye(2)
-        assert np.array_equal(obs.matrix, want)
+        assert np.array_equal(obs, want)
 
     def test_invalid_subset(self):
         design = grid_design(n=3)
@@ -174,7 +176,7 @@ class TestRestrictionMap:
 
     def test_numpy_integers_accepted(self):
         design = grid_design(n=4)
-        g = restriction_map(design, np.array([2, 0], dtype=np.int32)).matrix
+        g = restriction_map(design, np.array([2, 0], dtype=np.int32))
         assert np.array_equal(g, np.eye(4)[[2, 0]])
 
 
@@ -182,16 +184,15 @@ class TestTransformMap:
     def test_inclusion_identity_equals_restriction(self):
         design = grid_design(n=5)
         subset = [1, 3]
-        spec = TransformSpec(design.index_points[subset], np.eye(1))
         assert np.array_equal(
-            transform_map(design, spec).matrix, restriction_map(design, subset).matrix
+            transform_map(design, design.index_points[subset], np.eye(1)),
+            restriction_map(design, subset),
         )
 
     def test_permutation(self):
         design = grid_design(n=4)
         order = [2, 0, 3, 1]
-        spec = TransformSpec(design.index_points[order], np.eye(1))
-        g = transform_map(design, spec).matrix
+        g = transform_map(design, design.index_points[order], np.eye(1))
         assert np.array_equal(g, np.eye(4)[order])
 
     def test_matches_direct_evaluation(self):
@@ -200,7 +201,7 @@ class TestTransformMap:
         design = grid_design(n=6, q=2, b=b)
         w = rng.standard_normal((3, 2))
         targets = design.index_points[[4, 1, 1]]
-        g = transform_map(design, TransformSpec(targets, w)).matrix
+        g = transform_map(design, targets, w)
         for _ in range(20):
             a = rng.standard_normal((6, 2))
             direct = np.vstack([w @ a[4], w @ a[1], w @ a[1]]).ravel()
@@ -209,7 +210,7 @@ class TestTransformMap:
     def test_target_not_in_design(self):
         design = grid_design(n=3)
         with pytest.raises(ValueError, match="not a design point"):
-            transform_map(design, TransformSpec([[0.31]], np.eye(1)))
+            transform_map(design, [[0.31]], np.eye(1))
 
     def test_estimation_through_general_transform(self):
         # observe weighted combinations of vector values at re-indexed
@@ -219,13 +220,13 @@ class TestTransformMap:
         design = grid_design(n=5, ell=0.8, q=2, b=b)
         w = np.array([[1.0, -0.5]])  # collapse the two value dims
         targets = design.index_points[[0, 2, 4]]
-        obs = transform_map(design, TransformSpec(targets, w))
+        obs = transform_map(design, targets, w)
         model = model_from_design(design)
         est = ols_build(model, obs)
         truth = (model_from_design(design).cov @ rng.standard_normal(10))
-        y = obs.matrix @ truth
+        y = obs @ truth
         recovered = ols_estimate(est, y)
-        assert np.abs(obs.matrix @ recovered - y).max() < 1e-8
+        assert np.abs(obs @ recovered - y).max() < 1e-8
 
 
 class TestKrige:
@@ -287,9 +288,9 @@ class TestKrige:
         design = ArrayDesign(
             np.linspace(0, 1, 5)[:, None],
             KernelSpec("se", lengthscale=0.5),
-            mean_fn=lambda p: np.array([np.sin(3.0 * p[0])]),
+            mean=np.sin(3.0 * np.linspace(0, 1, 5))[:, None],
         )
-        mean = design.mean_array()
+        mean = design.mean
         result = krige(design, [1, 4], mean[[1, 4], 0])
         assert np.abs(result.values - mean).max() < 1e-10
 
@@ -418,9 +419,8 @@ class TestFuzzyClassify:
         design = grid_design(n=6, ell=0.4)
         d0, d1 = [0, 1], [4, 5]
         lam = fuzzy_classify(design, d0, d1)
-        shifted = ArrayDesign(
-            design.index_points, design.kernel, mean_fn=lambda p: np.array([0.5])
-        )
+        shifted = ArrayDesign(design.index_points, design.kernel,
+                              mean=np.full((design.n_points, 1), 0.5))
         direct = krige(shifted, d0 + d1, np.array([0.0, 0.0, 1.0, 1.0]))
         assert np.abs(lam - direct.values[:, 0]).max() < 1e-12
 

@@ -397,6 +397,10 @@ class TestFloatFormatting:
                 canonical_json(value)
 
 
+STRICT_PD_WARNING = ("warning: kernel gram is not strictly positive definite on the "
+                     "training points; hull separability is not guaranteed a priori")
+
+
 def run_cli(args):
     return main([str(a) for a in args])
 
@@ -553,7 +557,8 @@ class TestClassifyCommands:
                         "--out", tmp_path / "out"]) == 0
         assert 120 ** 2 <= sum(entries) <= 2 * 120 ** 2
 
-    def test_svm_warns_without_an_eigensolve(self, tmp_path, monkeypatch):
+    @pytest.mark.filterwarnings("default:kernel gram is not strictly positive definite")
+    def test_svm_warns_without_an_eigensolve(self, tmp_path, monkeypatch, capsys):
         # the classify-svm benchmark's shape: 2 x 60 blobs, SE with l = 0.7,
         # whose Gram is PSD but not strictly PD at the gate's floor
         rng = np.random.default_rng([5, 0])
@@ -574,20 +579,25 @@ class TestClassifyCommands:
 
         for name in ("eigvalsh", "eigh", "eig"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        with pytest.warns(RuntimeWarning, match="not strictly positive definite"):
-            assert run_cli(["classify-svm", "--config", config, "--data", data,
-                            "--query", query, "--out", tmp_path / "out"]) == 0
+        assert run_cli(["classify-svm", "--config", config, "--data", data,
+                        "--query", query, "--out", tmp_path / "out"]) == 0
+        warning, wrote = capsys.readouterr().err.splitlines()
+        assert warning == STRICT_PD_WARNING
+        assert wrote.startswith("classify-svm: wrote ")
 
-    def test_svm_non_separable_exits_one(self, tmp_path):
+    @pytest.mark.filterwarnings("default:kernel gram is not strictly positive definite")
+    def test_svm_non_separable_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json",
                               {"kernel": {"family": "linear"}})
         data = write_csv(tmp_path / "d.csv",
                          "i_1,v_1\n-1.0,0\n1.0,0\n0.0,1\n")
         out = tmp_path / "out"
-        with pytest.warns(RuntimeWarning):
-            code = run_cli(["classify-svm", "--config", config, "--data", data,
-                            "--out", out])
+        code = run_cli(["classify-svm", "--config", config, "--data", data,
+                        "--out", out])
         assert code == 1
+        warning, failure = capsys.readouterr().err.splitlines()
+        assert warning == STRICT_PD_WARNING
+        assert failure.startswith("verification failure: hulls are not separable")
 
 
 class TestConditionCommand:
@@ -613,6 +623,21 @@ class TestConditionCommand:
         run_cli(["condition", "--config", config, "--data", data,
                  "--query", query, "--out", out_b, "--seed", 99])
         assert (out_a / "samples.csv").read_bytes() != (out_b / "samples.csv").read_bytes()
+
+    def test_small_variance_prior_is_sampled(self, tmp_path):
+        # a prior of variance 1e-12 keeps its spread instead of collapsing
+        # every draw onto the posterior mean
+        config = write_config(tmp_path / "c.json", {
+            "samples": 50,
+            "kernel": {"family": "se", "lengthscale": 1.0, "variance": 1e-12},
+        })
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0.0,1e-6\n")
+        query = write_csv(tmp_path / "q.csv", "i_1\n0.0\n0.4\n0.8\n")
+        out = tmp_path / "out"
+        assert run_cli(["condition", "--config", config, "--data", data,
+                        "--query", query, "--out", out]) == 0
+        rows = (out / "samples.csv").read_text().splitlines()[1:]
+        assert len(rows) == 50 and len(set(rows)) == 50
 
 
 class TestDataWithoutRows:

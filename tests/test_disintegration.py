@@ -290,8 +290,8 @@ class TestSamplerFromPriorDraws:
         y = sample(FiniteModel(np.zeros(20), model.cov[100:, 100:]), seed, 1)[0]
         cond = conditional_gaussian(model, obs, y)
         draws = stochastic_ols_sample(cond, seed, 300)
-        mean_err = float(np.abs(obs.matrix @ cond.mean - y).max())
-        draw_err = float(np.abs(draws @ obs.matrix.T - y[None, :]).max())
+        mean_err = float(np.abs(obs @ cond.mean - y).max())
+        draw_err = float(np.abs(draws @ obs.T - y[None, :]).max())
         assert draw_err <= 1.5 * max(mean_err, 1e-16 * float(np.abs(y).max()))
 
     def test_only_the_prior_covariance_is_factored(self, monkeypatch):

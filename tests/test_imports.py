@@ -19,7 +19,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # second entry points to a capability that has one; each stays deleted
-DELETED = ("delta_norm", "svm_decision", "svm_classify", "psd_eigh")
+DELETED = ("delta_norm", "svm_decision", "svm_classify", "psd_eigh", "ObservationMap",
+           "TransformSpec")
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "olskit").glob("*.py")),
@@ -86,7 +87,8 @@ def test_deleted_functions_stay_deleted():
 def test_deleted_members_stay_deleted():
     assert "__call__" not in vars(olskit.OlsEstimator)  # ols_estimate applies it
     assert "at" not in vars(olskit.KrigeResult)
-    assert not {"p", "n", "adjoint"} & set(vars(olskit.ObservationMap))
+    assert "mean_fn" not in {f.name for f in dataclasses.fields(olskit.ArrayDesign)}
+    assert not hasattr(olskit.ArrayDesign, "mean_array")  # the design's mean is an array
     assert "data" not in {f.name for f in dataclasses.fields(olskit.ConditionalModel)}
     assert list(inspect.signature(olskit.risk).parameters)[0] == "est"
     assert list(inspect.signature(importlib.import_module("olskit.cli").load_csv)

@@ -87,6 +87,14 @@ class TestPsdFactor:
         k = random_psd(rng, 5)
         assert np.array_equal(psd_factor(k), psd_factor(k))
 
+    @pytest.mark.parametrize("c", [4.0 ** -20, 0.25, 4.0, 4.0 ** 10])
+    def test_factor_scales_with_the_matrix(self, c):
+        # the eigenvalue cut is relative to max|K|, so scaling K by a power
+        # of 4 scales every eigenvalue and the cut alike: F(c K) = sqrt(c) F(K)
+        q = np.linalg.qr(np.random.default_rng(17).standard_normal((6, 6)))[0]
+        k = symmetrize((q * [2.0, 1.0, 0.5, 1e-3, 1e-13, 1e-15]) @ q.T)
+        assert np.array_equal(psd_factor(c * k), np.sqrt(c) * psd_factor(k))
+
     def test_sign_rule_matches_column_loop(self):
         rng = np.random.default_rng(13)
         vecs = rng.standard_normal((40, 12)) * rng.choice([-1.0, 1.0], 12)

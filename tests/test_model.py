@@ -6,7 +6,6 @@ from olskit.linalg import Tolerance, pinv, range_projector
 from olskit.model import (
     ContractError,
     FiniteModel,
-    ObservationMap,
     SupportViolationError,
     contravariance_check,
     estimator_delta_norm,
@@ -173,11 +172,12 @@ class TestSelectionMaps:
         mix = np.array([[1.0, 0.4], [0.4, 0.8]]) if q == 2 else None
         spec = KernelSpec("matern52", lengthscale=0.7, output_dim=q,
                           coregionalization=mix)
-        design = ArrayDesign(rng.uniform(0.0, 10.0, (n, 2)), spec,
-                             mean_fn=lambda p: np.full(q, np.sin(p[0]) + p[1]))
+        pts = rng.uniform(0.0, 10.0, (n, 2))
+        mean = np.repeat((np.sin(pts[:, 0]) + pts[:, 1])[:, None], q, axis=1)
+        design = ArrayDesign(pts, spec, mean=mean)
         model = model_from_design(design)
         subset = rng.permutation(n)[: int(rng.integers(1, n))]
-        g = restriction_map(design, subset).matrix
+        g = restriction_map(design, subset)
         assert model_module._selected_columns(g) is not None
         assert_matches_dense(model, g, ridge)
 
@@ -553,3 +553,14 @@ class TestSample:
     def test_deterministic(self):
         model, _ = make_model(39, 3)
         assert np.array_equal(sample(model, 7, 10), sample(model, 7, 10))
+
+    def test_small_scale_covariance_keeps_its_spread(self):
+        # every eigenvalue of 1e-12 C lies below abs_psd = 1e-10, yet they are
+        # the whole covariance: the factor's cut is relative to max|K|
+        base, _ = make_model(40, 3)
+        k = 1e-12 * base.cov
+        n = 100_000
+        draws = sample(FiniteModel(np.zeros(3), k), 41, n)
+        empirical = draws.T @ draws / n
+        stderr = np.sqrt((np.outer(np.diag(k), np.diag(k)) + k * k) / n)
+        assert np.all(np.abs(empirical - k) < 5.0 * stderr)
