@@ -681,7 +681,7 @@ def run(command: str, config: Config, inputs: dict, out_dir: str,
     Nothing is written unless the report serializes.  Returns (report, exit_code).
     """
     started = time.monotonic()
-    seed = config.seed if seed is None else seed
+    seed = config.seed if seed is None else _as_int(seed, "--seed", 0)
     os.makedirs(out_dir, exist_ok=True)
 
     data = inputs.get("data")

@@ -27,6 +27,7 @@ import numpy as np
 from .linalg import NumericalError, as_matrix, as_vector, symmetrize
 from .model import (
     FiniteModel,
+    _derived_model,
     OlsEstimator,
     ols_build,
     ols_estimate,
@@ -120,16 +121,18 @@ def residual_model(est: OlsEstimator) -> FiniteModel:
 
     Verifies the lifted-projection identities R K R^T = R K = K R^T at
     1e-8 max(1, max|K|) before returning; these hold exactly for the
-    least-squares estimator.
+    least-squares estimator, so a failure is rounding (NumericalError).
     """
     model = est.model
     rk = est.resid @ model.cov
     rkr = rk @ est.resid.T
     bound = 1e-8 * max(1.0, float(np.abs(model.cov).max()))
-    if float(np.abs(rk - rk.T).max()) > bound or float(np.abs(rkr - rk).max()) > bound:
-        raise ValueError("residual identities R K R^T = R K = K R^T fail")
+    asym, idem = float(np.abs(rk - rk.T).max()), float(np.abs(rkr - rk).max())
+    if max(asym, idem) > bound:
+        raise NumericalError(f"residual identities fail: |R K - K R^T| = {asym:.3e}, "
+                             f"|R K R^T - R K| = {idem:.3e}, bound {bound:.3e}")
     mean = model.mean - ols_estimate(est, est.data_mean)
-    return FiniteModel(mean, symmetrize(rkr), tol=model.tol)
+    return _derived_model(mean, rkr, model.tol, "R K R^T")
 
 
 def conditional_gaussian(model: FiniteModel, obs, y) -> ConditionalModel:

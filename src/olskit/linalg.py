@@ -32,8 +32,8 @@ class Tolerance:
     """Numerical cutoffs used throughout the package.
 
     rcond    : relative singular-value cutoff for rank decisions.
-    abs_psd  : eigenvalue slack: times max(1, max|K|) for PSD checks, times
-               max|K| for clipping in ``psd_factor``.
+    abs_psd  : PSD slack: ``floor = abs_psd * max|K|`` bounds the asymmetry
+               and lambda_min in ``check_psd`` and is ``psd_factor``'s cut.
     """
 
     rcond: float = 1e-12
@@ -139,14 +139,11 @@ def _fix_eigvec_signs(vecs: np.ndarray) -> np.ndarray:
     return np.where(flip, -vecs, vecs)
 
 
-class PsdSpectrum(NamedTuple):
-    """A matrix that passed ``check_psd``, with its spectrum when computed."""
+class PsdGate(NamedTuple):
+    """A matrix that passed ``check_psd``, with the floor it was held to."""
 
-    matrix: np.ndarray          # the input, symmetrized if it was not exactly
-    values: np.ndarray | None   # ascending eigenvalues, when computed
-    vectors: np.ndarray | None  # matching eigenvectors, when asked for
-    floor: float                # abs_psd * max(1, scale)
-    scale: float                # max|k|, 0 for an empty k
+    matrix: np.ndarray  # the input, symmetrized if it was not exactly
+    floor: float        # abs_psd * max|k|, 0 for an empty or zero k
 
 
 def _cholesky_certifies(sym: np.ndarray, shift: float) -> bool:
@@ -161,57 +158,49 @@ def _cholesky_certifies(sym: np.ndarray, shift: float) -> bool:
     return True
 
 
-def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL, name: str = "matrix",
-              vectors: bool = False) -> PsdSpectrum:
+def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL,
+              name: str = "matrix") -> PsdGate:
     """The one PSD gate: ``k`` is square, symmetric and positive semidefinite.
 
-    ``k`` must already be a finite 2-d array (see ``as_matrix``).  Both the
-    asymmetry and the most negative eigenvalue are held to the same floor,
-    ``abs_psd * max(1, max|k|)``.  An exactly symmetric ``k`` is returned as
-    it is; any other is symmetrized once.
-
-    The verdict is one Cholesky factorization of ``K + floor*I``, which
-    exists exactly when lambda_min(K) > -floor, up to rounding (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 10).  Eigenvalues
-    are computed in two cases only: when that factorization fails, so that
-    ``eigvalsh`` decides and a rejection names lambda_min, and when the
-    caller asks for the eigenpairs (``vectors``), whose eigenvalues then
-    decide.  Raises NotPsdError, naming ``name``, on failure.
+    ``k`` must already be a finite 2-d array (see ``as_matrix``).  The
+    asymmetry and the most negative eigenvalue are held to one floor,
+    ``abs_psd * max|k|``, so ``c * k`` gets the verdict of ``k`` for every
+    c > 0.  An exactly symmetric ``k`` is returned as it is; any other is
+    symmetrized once.  The verdict is one Cholesky factorization of
+    ``K + floor*I``, which exists exactly when lambda_min(K) > -floor, up
+    to rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 10); only when it fails does ``eigvalsh`` run, to settle the
+    rounding and name lambda_min.  Raises NotPsdError, naming ``name``.
     """
     n, m = k.shape
     if n != m:
         raise NotPsdError(f"{name} must be square, got {n}x{m}")
-    scale = max(float(k.max()), -float(k.min())) if k.size else 0.0
-    floor = tol.abs_psd * max(1.0, scale)
+    floor = tol.abs_psd * max(float(k.max()), -float(k.min())) if k.size else 0.0
     sym = k
     if not np.array_equal(k, k.T):
         if float(np.abs(k - k.T).max()) > floor:
             raise NotPsdError(f"{name} is asymmetric beyond tolerance")
         sym = symmetrize(k)
-    w = v = None
-    if vectors:
-        w, v = np.linalg.eigh(sym)
-    elif not _cholesky_certifies(sym, floor):
-        w = np.linalg.eigvalsh(sym)
-    if w is not None and w.size and float(w[0]) < -floor:
-        raise NotPsdError(f"{name} is not PSD: eigenvalue {w[0]:.3e} below -abs_psd")
-    return PsdSpectrum(sym, w, v, floor, scale)
+    if not _cholesky_certifies(sym, floor):
+        w = float(np.linalg.eigvalsh(sym)[0])
+        if w < -floor:
+            raise NotPsdError(f"{name} is not PSD: eigenvalue {w:.3e} < -abs_psd*max|K|")
+    return PsdGate(sym, floor)
 
 
 def psd_factor(k, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Square factor F with F F^T ~= K for PSD input.
+    """Square factor F with F F^T ~= K: ``check_psd`` plus an eigenbasis.
 
-    The columns are eigenvectors in descending eigenvalue order, each with
-    its first significantly nonzero entry positive, so the factor is
-    deterministic.  Eigenvalues below ``abs_psd * max|K|`` (including small
-    negatives) are set to exactly zero, which keeps the factor supported
-    on the numerically trustworthy part of the range; the reconstruction
-    error is bounded by ``n * abs_psd * max|K|`` in Frobenius norm.  The
-    cut scales with K, so a covariance of any magnitude keeps its range.
-    Raises NotPsdError when ``check_psd`` rejects ``k``.
+    Columns are eigenvectors of the gated matrix by descending eigenvalue,
+    each with its first significantly nonzero entry positive, so F is
+    deterministic.  Eigenvalues below the gate's floor (small negatives
+    included) become exactly zero, so F keeps the numerically trustworthy
+    part of the range, with Frobenius reconstruction error at most
+    ``n * floor``; the cut scales with K, as the floor does.  Raises the
+    gate's NotPsdError.
     """
-    gate = check_psd(as_matrix(k, "psd matrix"), tol, vectors=True)
-    order = np.argsort(gate.values)[::-1]
-    w = gate.values[order]
-    cut = tol.abs_psd * gate.scale
-    return _fix_eigvec_signs(gate.vectors[:, order]) * np.sqrt(np.where(w < cut, 0.0, w))
+    gate = check_psd(as_matrix(k, "psd matrix"), tol)
+    w, v = np.linalg.eigh(gate.matrix)
+    order = np.argsort(w)[::-1]
+    w = w[order]
+    return _fix_eigvec_signs(v[:, order]) * np.sqrt(np.where(w < gate.floor, 0.0, w))

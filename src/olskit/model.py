@@ -20,6 +20,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    NotPsdError,
+    NumericalError,
     Tolerance,
     as_matrix,
     as_vector,
@@ -107,14 +109,19 @@ class OlsEstimator:
         return self.data_mean.size
 
 
+def _derived_model(mean, cov, tol: Tolerance, name: str) -> FiniteModel:
+    """Model of a covariance PSD by construction from a gated K (G K G^T, R K R^T):
+    its rounding scales with K, so a gate rejection is a NumericalError."""
+    try:
+        return FiniteModel(mean, symmetrize(cov), tol=tol)
+    except NotPsdError as err:
+        raise NumericalError(f"{name} is PSD in exact arithmetic, but {err}") from err
+
+
 def pushforward(model: FiniteModel, obs) -> FiniteModel:
     """Model of the observed data: mean G m, covariance G K G^T."""
     g = _obs_matrix(obs, model.n)
-    return FiniteModel(
-        g @ model.mean,
-        symmetrize(g @ model.cov @ g.T),
-        tol=model.tol,
-    )
+    return _derived_model(g @ model.mean, g @ model.cov @ g.T, model.tol, "G K G^T")
 
 
 def _selected_columns(g: np.ndarray) -> np.ndarray | None:

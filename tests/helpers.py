@@ -300,6 +300,17 @@ def first_significant_positive(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def eigh_factor_oracle(k: np.ndarray) -> np.ndarray:
+    """Reference PSD factor: ``eigh`` of K, eigenpairs by descending eigenvalue,
+    column signs by ``first_significant_positive``, and eigenvalues below
+    ``1e-10 * max|K|`` (the default abs_psd) cut to zero."""
+    w, v = np.linalg.eigh(k)
+    order = np.argsort(w)[::-1]
+    w = w[order]
+    cut = 1e-10 * float(np.abs(k).max()) if k.size else 0.0
+    return first_significant_positive(v[:, order]) * np.sqrt(np.where(w < cut, 0.0, w))
+
+
 def format_csv_cellwise(header: list[str], rows: np.ndarray) -> str:
     """CSV text with every cell formatted on its own by ``format(x, ".17g")``."""
     out = [",".join(header)]

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -884,9 +885,10 @@ class TestVerifyCommands:
 
 class TestExitCodes:
     def test_unknown_command_usage(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "olskit.cli", "frobnicate"],
-            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         )
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
@@ -927,6 +929,18 @@ class TestExitCodes:
         data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0.0,0.3\n1.0,0.7\n")
         assert run_cli(["condition", "--config", config, "--data", data,
                         "--out", tmp_path / "cond"]) == 0
+
+    @pytest.mark.parametrize("command", ["krige", "condition", "verify"])
+    def test_negative_seed_flag_is_input_error(self, tmp_path, capsys, command):
+        # the flag obeys the config's seed rule, before any output is written
+        config = write_config(tmp_path / "c.json")
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0.0,0.3\n1.0,0.7\n")
+        inputs = ["disintegration"] if command == "verify" else ["--data", data]
+        out = tmp_path / "out"
+        assert run_cli([command, *inputs, "--config", config, "--out", out,
+                        "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed: must be an integer >= 0\n"
+        assert not out.exists()
 
     def test_failed_flag_names_its_metric(self, tmp_path, capsys):
         # SE points 0 and 1e-6 pass the rank test at rcond 1e-16, so krige

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -17,12 +19,14 @@ from olskit.disintegration import (
 )
 from olskit.arrays import ArrayDesign, model_from_design, restriction_map
 from olskit.kernels import KernelSpec
-from olskit.linalg import psd_factor
+from olskit.linalg import NumericalError, psd_factor
 from olskit.model import FiniteModel, ols_build, sample
 
 from helpers import mc_mean_cov, random_psd
 
 RHO = 0.8
+RESIDUAL_IDENTITIES = (r"residual identities fail: \|R K - K R\^T\| = \S+, "
+                       r"\|R K R\^T - R K\| = \S+, bound (\S+)")
 BIVARIATE = FiniteModel(np.zeros(2), np.array([[1.0, RHO], [RHO, 1.0]]))
 FIRST_COORD = np.array([[1.0, 0.0]])
 SHORT_X = np.sort(np.random.default_rng(0).uniform(0.0, 10.0, 400))
@@ -71,6 +75,40 @@ class TestResidualModel:
         res = residual_model(est)
         rk = est.resid @ model.cov
         assert np.linalg.norm(res.cov - rk) < 1e-10
+
+    @pytest.mark.parametrize("ell", [0.5, 1.0, 2.0])
+    def test_rounding_on_i400_is_a_numerical_failure(self, ell):
+        # I400: the 300 points off every 4th observed; the identities hold in
+        # exact arithmetic, so a failure is rounding, never bad input
+        design = ArrayDesign(SHORT_X[:, None], KernelSpec("matern52", lengthscale=ell))
+        observed = np.delete(np.arange(400), np.arange(0, 400, 4))
+        est = ols_build(model_from_design(design), restriction_map(design, observed))
+        try:
+            residual_model(est)
+        except NumericalError as err:
+            named = re.fullmatch(RESIDUAL_IDENTITIES, str(err))
+            assert named and named[1] == "1.000e-08", str(err)  # max|K| = 1
+
+    def test_gate_rejection_of_the_residual_is_a_numerical_failure(self):
+        # at variance 1e-6 the identities pass their bound, 1e-8 max(1, max|K|),
+        # but R K R^T carries rounding of K's scale, far past its own PSD floor
+        x = np.linspace(0.0, 1.0, 40)
+        design = ArrayDesign(x[:, None], KernelSpec("se", lengthscale=0.2, variance=1e-6))
+        observed = np.delete(np.arange(40), np.arange(0, 40, 4))
+        est = ols_build(model_from_design(design), restriction_map(design, observed))
+        with pytest.raises(NumericalError, match=r"^R K R\^T is PSD in exact arithmetic, "
+                                                 r"but cov is not PSD: eigenvalue"):
+            residual_model(est)
+
+    def test_identity_defects_are_named_with_the_bound(self):
+        rng = np.random.default_rng(6)
+        model = FiniteModel(np.zeros(4), random_psd(rng, 4))
+        est = ols_build(model, rng.standard_normal((2, 4)))
+        skewed = dataclasses.replace(est, resid=est.resid + 1e-6 * np.triu(np.ones((4, 4))))
+        with pytest.raises(NumericalError) as err:
+            residual_model(skewed)
+        named = re.fullmatch(RESIDUAL_IDENTITIES, str(err.value))
+        assert named and named[1] == f"{1e-8 * np.abs(model.cov).max():.3e}", str(err.value)
 
 
 class TestConditionalGaussian:

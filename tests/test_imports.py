@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import olskit
@@ -20,7 +21,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # second entry points to a capability that has one; each stays deleted
 DELETED = ("delta_norm", "svm_decision", "svm_classify", "psd_eigh", "ObservationMap",
-           "TransformSpec")
+           "TransformSpec", "PsdSpectrum")
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "olskit").glob("*.py")),
@@ -94,5 +95,6 @@ def test_deleted_members_stay_deleted():
     assert list(inspect.signature(importlib.import_module("olskit.cli").load_csv)
                 .parameters) == ["path"]
     linalg = importlib.import_module("olskit.linalg")
-    assert "values" not in inspect.signature(linalg.check_psd).parameters
+    assert not {"values", "vectors"} & set(inspect.signature(linalg.check_psd).parameters)
+    assert linalg.check_psd(np.eye(1))._fields == ("matrix", "floor")
     assert not hasattr(linalg.Tolerance, "support_rtol")  # support_threshold

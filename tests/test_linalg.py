@@ -15,6 +15,7 @@ from olskit.linalg import (
 )
 
 from helpers import (
+    eigh_factor_oracle,
     first_significant_positive,
     penrose_defects,
     power_iteration_norm,
@@ -95,6 +96,18 @@ class TestPsdFactor:
         k = symmetrize((q * [2.0, 1.0, 0.5, 1e-3, 1e-13, 1e-15]) @ q.T)
         assert np.array_equal(psd_factor(c * k), np.sqrt(c) * psd_factor(k))
 
+    def test_matches_eigh_oracle(self):
+        # full-rank, rank-deficient, indefinite within the floor, tiny and
+        # huge scales, and exact zeros: byte for byte the eigh-based factor
+        rng = np.random.default_rng(2203)
+        cases = [np.zeros((3, 3)), np.zeros((0, 0)), np.diag([4.0, 0.0, 1e-20])]
+        for n in (1, 2, 7, 40):
+            for rank in sorted({1, n // 2 or 1, n}):
+                k = random_psd(rng, n, rank=rank)
+                cases += [k, 1e-12 * k, 1e9 * k, k - 0.5e-10 * np.abs(k).max() * np.eye(n)]
+        for k in cases:
+            assert np.array_equal(psd_factor(k), eigh_factor_oracle(k)), k.shape
+
     def test_sign_rule_matches_column_loop(self):
         rng = np.random.default_rng(13)
         vecs = rng.standard_normal((40, 12)) * rng.choice([-1.0, 1.0], 12)
@@ -130,12 +143,12 @@ class TestCheckPsd:
             spread = 10.0 ** rng.uniform(-8.0, 0.0, n - 2)
             for scale in (1e-3, 1.0, 1e6):
                 base = np.concatenate([[0.0, 0.0], scale * spread])
-                floor = 1e-10 * max(1.0, float(np.abs((q * base) @ q.T).max()))
+                floor = 1e-10 * float(np.abs((q * base) @ q.T).max())
                 for factor, inside in ((0.95, True), (1.05, False)):
                     lam = base.copy()
                     lam[0] = -factor * floor
                     k = symmetrize((q * lam) @ q.T)
-                    gate_floor = 1e-10 * max(1.0, float(np.abs(k).max()))
+                    gate_floor = 1e-10 * float(np.abs(k).max())
                     oracle = float(np.linalg.eigvalsh(k)[0]) >= -gate_floor
                     assert oracle == inside, (seed, scale, factor)
                     assert _gate_accepts(k) == oracle, (seed, scale, factor)
@@ -155,8 +168,22 @@ class TestCheckPsd:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        gate = check_psd(k)
-        assert gate.values is None and gate.matrix is k
+        assert check_psd(k).matrix is k
+
+    def test_verdict_is_invariant_under_scaling(self):
+        # one floor, abs_psd * max|K|, scales with K: lambda_min at -2 floor
+        # is rejected and at -floor/2 accepted, whatever the units
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 41])
+            n = int(rng.integers(3, 40))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = np.concatenate([[0.0], rng.uniform(1e-3, 1.0, n - 1)])
+            floor = 1e-10 * float(np.abs((q * lam) @ q.T).max())
+            for factor, inside in ((2.0, False), (0.5, True)):
+                lam[0] = -factor * floor
+                k = symmetrize((q * lam) @ q.T)
+                verdicts = [_gate_accepts(4.0 ** e * k) for e in range(-20, 11)]
+                assert verdicts == [inside] * len(verdicts), (seed, factor)
 
     def test_near_symmetric_input_is_symmetrized(self):
         k = np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from olskit.disintegration import conditional_gaussian
-from olskit.linalg import Tolerance, pinv, range_projector
+from olskit.linalg import NotPsdError, NumericalError, Tolerance, pinv, range_projector
 from olskit.model import (
     ContractError,
     FiniteModel,
@@ -45,6 +45,13 @@ HAND_K = np.array([[2.0, 1.0], [1.0, 1.0]])
 HAND_G = np.array([[1.0, 0.0]])
 
 
+class TestFiniteModelGate:
+    def test_small_indefinite_covariance_rejected(self):
+        # lambda_min = -1e-12 is a third of lambda_max: indefinite in any units
+        with pytest.raises(NotPsdError, match="eigenvalue -1.000e-12"):
+            FiniteModel(np.zeros(2), 1e-12 * np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 class TestPushforward:
     def test_identity_map(self):
         model, _ = make_model(0, 3)
@@ -61,6 +68,14 @@ class TestPushforward:
         model, _ = make_model(0, 3)
         with pytest.raises(ValueError, match="columns"):
             pushforward(model, np.zeros((2, 4)))
+
+    def test_gate_rejection_of_a_pushforward_is_a_numerical_failure(self):
+        # second differences of a smooth SE prior: G K G^T is PSD in exact
+        # arithmetic, but its rounding scales with K, far past its own floor
+        design = ArrayDesign(np.linspace(0.0, 1.0, 50)[:, None], KernelSpec("se"))
+        with pytest.raises(NumericalError, match=r"^G K G\^T is PSD in exact arithmetic, "
+                                                 r"but cov is not PSD: eigenvalue"):
+            pushforward(model_from_design(design), np.diff(np.eye(50), 2, axis=0))
 
     def test_monte_carlo_moments(self):
         model, rng = make_model(2, 3)

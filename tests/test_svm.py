@@ -253,7 +253,7 @@ class TestFailureModes:
             eval_hook=lambda i, j: np.array([[1.0 if np.array_equal(i, j) else -0.9]]),
         )
         with pytest.raises(NotPsdError, match=r"^kernel gram is not PSD: "
-                           r"eigenvalue -8\.000e-01 below -abs_psd$"):
+                           r"eigenvalue -8\.000e-01 < -abs_psd\*max\|K\|$"):
             svm_train(SvmProblem(spec, [[0.0], [1.0]], [[2.0]]))
 
     def test_vector_kernel_rejected(self):
@@ -265,12 +265,14 @@ class TestFailureModes:
 def prescribed_spectrum_problem(rng, lam_min_over_floor):
     """Points 0..n-1 whose kernel is Q diag(lam) Q^T, lambda_min set in floors.
 
-    Every other eigenvalue lies in [1e-3, 0.9], so max|K| < 1 and the gate's
-    floor is abs_psd itself.
+    Every other eigenvalue lies in [1e-3, 0.9], so max|K| < 1.  The floor,
+    abs_psd * max|K|, is read with lambda_min at zero; setting lambda_min
+    then moves max|K| by a relative 1e-9 at most.
     """
     n = int(rng.integers(3, 30))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = np.concatenate([[lam_min_over_floor * 1e-10], rng.uniform(1e-3, 0.9, n - 1)])
+    lam = np.concatenate([[0.0], rng.uniform(1e-3, 0.9, n - 1)])
+    lam[0] = lam_min_over_floor * 1e-10 * np.abs((q * lam) @ q.T).max()
     k = (q * lam) @ q.T
     k = 0.5 * (k + k.T)
     assert np.abs(k).max() < 1.0
@@ -302,7 +304,7 @@ def test_strict_pd_warning_follows_lambda_min(lam_min_over_floor, verdict, monke
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if verdict == "rejects":
-                assert lam_min < -1e-10
+                assert lam_min < -1e-10 * np.abs(k).max()
                 with pytest.raises(NotPsdError, match="eigenvalue"):
                     problem.signed_gram
                 assert len(eigensolves) == 1
@@ -311,7 +313,7 @@ def test_strict_pd_warning_follows_lambda_min(lam_min_over_floor, verdict, monke
         assert eigensolves == []
         warned = [w for w in caught if "strictly positive definite" in str(w.message)]
         assert len(warned) == (verdict == "warns")
-        assert (lam_min <= 1e-10) == (verdict == "warns")
+        assert (lam_min <= 1e-10 * np.abs(k).max()) == (verdict == "warns")
 
 
 @pytest.mark.parametrize("seed", range(6))
