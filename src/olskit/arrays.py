@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, _first_rows, _locate, as_points, gram
+from .kernels import KernelSpec, _first_rows, _gram_gate, _locate, as_points, gram
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, matrix_rank
 from .model import FiniteModel, ols_build, ols_estimate
 
@@ -60,12 +60,15 @@ class ArrayDesign:
 
 
 def model_from_design(design: ArrayDesign) -> FiniteModel:
-    """Flatten a design to a finite model: n = n_points * q, K = Gram."""
-    return FiniteModel(
-        design.mean.ravel(),
-        gram(design.kernel, design.index_points),
-        tol=design.tol,
-    )
+    """Flatten a design to a finite model: n = n_points * q, K = Gram.
+
+    A Gram that ``kernels._gram_gate`` certifies PSD (closed-form
+    stationary families, with no n x n factorization) reaches
+    ``FiniteModel`` as that gate; any other is held to ``check_psd``.
+    """
+    k = gram(design.kernel, design.index_points)
+    gate = _gram_gate(design.kernel, design.index_points, k, design.tol)
+    return FiniteModel(design.mean.ravel(), k if gate is None else gate, tol=design.tol)
 
 
 def _validate_subset(design: ArrayDesign, subset: Sequence[int]) -> list[int]:

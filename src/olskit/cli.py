@@ -12,8 +12,9 @@ and ``verify {gmt|disintegration|uii|entropy|continuity}``.  One table,
 dispatches on it and ``_build_parser`` builds the subcommands from it.
 Exit code 0 means the run passed, 1 means a verification or numerical
 gate failed (stderr names each false flag and the metric it gates), 2
-means bad input.  A library warning, such as the SVM's strict-definiteness
-warning, is printed to stderr as one ``warning: <message>`` line.
+means bad input or an output that cannot be written.  A library warning,
+such as the SVM's strict-definiteness warning, is printed to stderr as
+one ``warning: <message>`` line.
 
 Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
@@ -30,6 +31,7 @@ exponents and non-finite values are formatted one cell at a time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -251,10 +253,17 @@ def canonical_json(value) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then move it there;
+    on any failure the temporary file is removed and the error re-raised."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # never hide the error being raised
+            os.remove(tmp)
+        raise
 
 
 def _sha256(path: str) -> str:
@@ -509,6 +518,13 @@ def _design(config: Config, query: np.ndarray, observed: np.ndarray):
     return ArrayDesign(points, config.spec, tol=config.tol), observed_idx.tolist()
 
 
+def _agrees(error: float, *values) -> bool:
+    """Whether a largest difference between compared values is at most 1e-8
+    of their largest magnitude, so the verdict does not depend on units."""
+    scale = max(float(np.abs(v).max(initial=0.0)) for v in values)
+    return error <= 1e-8 * scale
+
+
 def _point_header(d: int, q: int) -> list[str]:
     return [f"i_{k}" for k in range(1, d + 1)] + [
         f"v_{k}" for k in range(1, q + 1)
@@ -524,9 +540,8 @@ def _run_krige(config: Config, data: IndexedDataset, query: IndexedDataset,
     points = design.index_points
     result = krige(design, observed_idx, data.values,
                    project=config.blocks["krige"]["project"])
-    reproduction = float(
-        np.abs(result.values[observed_idx] - data.values).max(initial=0.0)
-    )
+    reproduced = result.values[observed_idx]
+    reproduction = float(np.abs(reproduced - data.values).max(initial=0.0))
     ent_grid = default_epsilon_grid(spec, points) if spec.q == 1 else None
     metrics = {
         "n_design_points": int(points.shape[0]),
@@ -536,7 +551,7 @@ def _run_krige(config: Config, data: IndexedDataset, query: IndexedDataset,
     }
     if ent_grid is not None:
         metrics["integrated_entropy"] = entropy_integral(spec, points, ent_grid)
-    flags = {"observations_reproduced": reproduction <= 1e-8}
+    flags = {"observations_reproduced": _agrees(reproduction, reproduced, data.values)}
     table = np.hstack([points, result.values])
     files = {"predictions.csv": _format_csv(_point_header(points.shape[1], spec.q), table)}
     return {"metrics": metrics, "flags": flags}, files
@@ -609,7 +624,7 @@ def _run_classify_fuzzy(config: Config, data: IndexedDataset, query: IndexedData
         "n_design_points": int(points.shape[0]),
         "reproduction_max_error": reproduction,
     }
-    flags = {"labels_reproduced": reproduction <= 1e-8}
+    flags = {"labels_reproduced": _agrees(reproduction, lam[observed_idx], 1.0)}
     header = _point_header(points.shape[1], 0) + ["lambda"]
     files = {"predictions.csv": _format_csv(header, np.hstack([points, lam[:, None]]))}
     return {"metrics": metrics, "flags": flags}, files
@@ -634,7 +649,7 @@ def _run_condition(config: Config, data: IndexedDataset, query: IndexedDataset,
         "fiber_max_residual": fiber,
         "posterior_mean_norm": float(np.linalg.norm(cond.mean)),
     }
-    flags = {"samples_on_fiber": fiber <= 1e-8}
+    flags = {"samples_on_fiber": _agrees(fiber, draws, data.values)}
     mean_table = np.hstack([points, cond.mean.reshape(points.shape[0], config.spec.q)])
     files = {
         "posterior_mean.csv": _format_csv(
@@ -773,7 +788,7 @@ def main(argv=None) -> int:
                 command = f"verify:{args.target}"
             _report, code = run(command, config, inputs, args.out, seed=args.seed)
             return code
-        except (ConfigError, CsvError, ValueError, TypeError) as exc:
+        except (ConfigError, CsvError, ValueError, TypeError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except RuntimeError as exc:

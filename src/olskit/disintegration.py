@@ -109,24 +109,29 @@ class ConditionalModel:
     def __post_init__(self) -> None:
         obs = self.estimator.obs
         fiber = float(np.linalg.norm(obs @ self.residual_cov @ obs.T))
-        scale = max(1.0, float(np.abs(self.residual_cov).max())) if self.residual_cov.size else 1.0
-        if fiber > 1e-8 * scale:
+        if fiber > _identity_bound(self.estimator.model):
             raise NumericalError(
                 f"residual covariance leaks off the fiber (|G RK G^T| = {fiber:.3e})"
             )
+
+
+def _identity_bound(model: FiniteModel) -> float:
+    """1e-8 max|K|: the rounding allowed in an identity of R K, at the prior's
+    scale (that of ``check_psd``'s floor), so it does not depend on units."""
+    return 1e-8 * float(np.abs(model.cov).max(initial=0.0))
 
 
 def residual_model(est: OlsEstimator) -> FiniteModel:
     """Law of v - est(G v) under the estimator's model: centered, R K R^T.
 
     Verifies the lifted-projection identities R K R^T = R K = K R^T at
-    1e-8 max(1, max|K|) before returning; these hold exactly for the
-    least-squares estimator, so a failure is rounding (NumericalError).
+    1e-8 max|K| before returning; these hold exactly for the least-squares
+    estimator, so a failure is rounding (NumericalError).
     """
     model = est.model
     rk = est.resid @ model.cov
     rkr = rk @ est.resid.T
-    bound = 1e-8 * max(1.0, float(np.abs(model.cov).max()))
+    bound = _identity_bound(model)
     asym, idem = float(np.abs(rk - rk.T).max()), float(np.abs(rkr - rk).max())
     if max(asym, idem) > bound:
         raise NumericalError(f"residual identities fail: |R K - K R^T| = {asym:.3e}, "

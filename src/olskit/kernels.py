@@ -21,10 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, check_psd
+from .linalg import DEFAULT_TOL, PsdGate, Tolerance, _psd_floor, as_matrix, check_psd
 
 _STATIONARY = ("se", "matern12", "matern32", "matern52", "wendland")
 _DOT_PRODUCT = ("linear", "polynomial")
+_GRAM_ROUNDING = 64  # c in the entry bound (c + d) u max|K| of ``_gram_gate``
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 fallback
 
@@ -371,16 +372,53 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     """Assemble the (n q) x (n q) Gram matrix over a point list.
 
     The layout is ``cross_kernel``'s, and the matrix is returned as
-    evaluated, neither symmetrized nor checked: ``FiniteModel`` is the one
-    gate for a prior covariance, and it symmetrizes an asymmetry within
-    its floor or rejects one beyond it.  Stationary families take the
-    triangle tiling of the one stationary pass and mirror it, so their
-    matrix is exactly symmetric.
+    evaluated, neither symmetrized nor checked.  A prior covariance is
+    certified PSD by ``FiniteModel``: through ``_gram_gate`` with no
+    factorization when ``model_from_design`` builds a closed-form
+    stationary Gram the certificate covers, otherwise by ``check_psd``'s
+    Cholesky, which symmetrizes an asymmetry within its floor or rejects
+    one beyond it.  Stationary families take the triangle tiling of the
+    one stationary pass and mirror it, so their matrix is exactly
+    symmetric.
     """
     pts = as_points(points)
     if pts.shape[0] == 0:
         raise ValueError("gram requires at least one point")
     return cross_kernel(spec, pts, pts)
+
+
+def _gram_gate(spec: KernelSpec, points: np.ndarray, k: np.ndarray,
+               tol: Tolerance = DEFAULT_TOL) -> PsdGate | None:
+    """The PSD gate of ``k = gram(spec, points)`` by theorem and a rounding
+    bound, with no factorization, or None where ``check_psd`` must decide.
+
+    SE and Matern-1/2, 3/2 and 5/2 are positive definite on every R^d, and
+    Wendland's (1 - t)^4 (4 t + 1) on R^d for d <= 3 (Wendland, *Scattered
+    Data Approximation*, 2005, ch. 6 and 9), so with the identity as mixing
+    matrix their Gram K is PSD in exact arithmetic on every point set, and
+    ``k`` is computed exactly symmetric (``_stationary_pass``).  Each entry
+    is elementwise: a squared distance summed from d rounded squares of
+    rounded differences (relative error about (d + 1) u, u the unit
+    roundoff), then the family's closed form, which changes by at most
+    max|K| times the relative error of its argument and adds a few
+    roundings of its own.  So every entry is within (c + d) u max|K| of
+    exact, with c = 64 deliberately loose (a seeded sweep over d <= 3 stays
+    within c u / 4).  The error matrix E = k - K has ||E||_2 <= N max|E|
+    for N = ``k.shape[0]``, so lambda_min(k) >= -N (c + d) u max|K|, which
+    the gate's floor ``abs_psd * max|k|`` covers whenever
+    N (c + d) u <= abs_psd: N up to about 13,000 at the default tolerance.
+    Custom hooks, the dot-product families (their Grams are not bitwise
+    symmetric), an explicit mixing matrix (PSD only up to its own floor),
+    Wendland for d >= 4 and larger N get None.
+    """
+    d = points.shape[1]
+    if (spec.family not in _STATIONARY or spec.coregionalization is not None
+            or (spec.family == "wendland" and d > 3)):
+        return None
+    u = float(np.finfo(float).eps) / 2.0
+    if k.shape[0] * (_GRAM_ROUNDING + d) * u > tol.abs_psd:
+        return None
+    return PsdGate(k, _psd_floor(k, tol))
 
 
 @dataclass(frozen=True, eq=False)

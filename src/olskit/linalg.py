@@ -1,10 +1,17 @@
 """Dense linear-algebra primitives shared by every other module.
 
 All routines are pure functions of their inputs and are deterministic:
-pseudoinverses and spectral norms go through SVD, PSD checks through a
-shifted Cholesky factorization, and PSD factorization through a symmetric
-eigendecomposition with a fixed ordering and sign convention, so repeated
-calls produce bit-identical output.
+pseudoinverses and spectral norms go through SVD, and PSD factorization
+through a symmetric eigendecomposition with a fixed ordering and sign
+convention, so repeated calls produce bit-identical output.
+
+A PSD gate (``PsdGate``) holds a matrix to one floor, ``abs_psd * max|K|``,
+and comes from one of two certificates.  ``check_psd`` decides by a
+Cholesky factorization of ``K + floor*I``; it gates every covariance given
+as a matrix, every coregionalization matrix, every SVM Gram, every
+``psd_factor`` input and every design prior the other certificate does
+not cover.  ``kernels._gram_gate`` decides with no factorization, by
+theorem and a rounding bound, for the closed-form stationary Grams.
 """
 
 from __future__ import annotations
@@ -46,8 +53,9 @@ class Tolerance:
             raise ValueError(f"abs_psd must lie in (0, 1), got {self.abs_psd}")
 
     def support_threshold(self, norm: float) -> float:
-        """Residual allowed off an affine support for a vector of this norm."""
-        return float(np.sqrt(self.rcond)) * norm + 1e-15 * (1.0 + norm)
+        """Residual allowed off an affine support for a vector of this norm,
+        relative to it, so ``c * y`` gets the verdict of ``y`` for every c > 0."""
+        return (float(np.sqrt(self.rcond)) + 1e-15) * norm
 
 
 DEFAULT_TOL = Tolerance()
@@ -140,10 +148,15 @@ def _fix_eigvec_signs(vecs: np.ndarray) -> np.ndarray:
 
 
 class PsdGate(NamedTuple):
-    """A matrix that passed ``check_psd``, with the floor it was held to."""
+    """A matrix certified PSD, by ``check_psd`` or ``kernels._gram_gate``,
+    with the floor it was held to."""
 
     matrix: np.ndarray  # the input, symmetrized if it was not exactly
     floor: float        # abs_psd * max|k|, 0 for an empty or zero k
+
+
+def _psd_floor(k: np.ndarray, tol: Tolerance) -> float:
+    return tol.abs_psd * max(float(k.max()), -float(k.min())) if k.size else 0.0
 
 
 def _cholesky_certifies(sym: np.ndarray, shift: float) -> bool:
@@ -175,7 +188,7 @@ def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL,
     n, m = k.shape
     if n != m:
         raise NotPsdError(f"{name} must be square, got {n}x{m}")
-    floor = tol.abs_psd * max(float(k.max()), -float(k.min())) if k.size else 0.0
+    floor = _psd_floor(k, tol)
     sym = k
     if not np.array_equal(k, k.T):
         if float(np.abs(k - k.T).max()) > floor:

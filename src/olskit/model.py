@@ -22,6 +22,7 @@ from .linalg import (
     DEFAULT_TOL,
     NotPsdError,
     NumericalError,
+    PsdGate,
     Tolerance,
     as_matrix,
     as_vector,
@@ -51,7 +52,14 @@ class ContractError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FiniteModel:
-    """Mean vector plus PSD covariance matrix on R^n."""
+    """Mean vector plus PSD covariance matrix on R^n.
+
+    ``cov`` is given as a matrix, which ``check_psd``'s Cholesky certifies
+    (and symmetrizes if needed), or as a ``PsdGate`` that is already
+    certified; ``model_from_design`` hands over the gate of a closed-form
+    kernel Gram, certified by theorem and a rounding bound.  Either way the
+    shape and finiteness checks run, and ``cov`` holds the gated matrix.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -59,13 +67,16 @@ class FiniteModel:
 
     def __post_init__(self) -> None:
         m = as_vector(self.mean, "mean")
-        k = as_matrix(self.cov, "cov")
+        gate = self.cov if isinstance(self.cov, PsdGate) else None
+        k = as_matrix(self.cov if gate is None else gate.matrix, "cov")
         if k.shape != (m.size, m.size):
             raise ValueError(
                 f"cov must be {m.size}x{m.size} to match the mean, got {k.shape}"
             )
+        if gate is None:
+            gate = check_psd(k, self.tol, "cov")
         object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", check_psd(k, self.tol, "cov").matrix)
+        object.__setattr__(self, "cov", gate.matrix)
 
     @property
     def n(self) -> int:

@@ -218,6 +218,7 @@ def closed_form_kernel(family: str, x: np.ndarray, y: np.ndarray, variance: floa
     Squared distances are summed over explicit coordinate differences from
     zero, and every family is one expression with fresh temporaries, so an
     in-place evaluation that keeps the operation order must agree bit for bit.
+    Points given as ``np.longdouble`` are evaluated in that type throughout.
     """
     s2, ell = variance, lengthscale
     if family in ("linear", "polynomial"):
@@ -234,10 +235,10 @@ def closed_form_kernel(family: str, x: np.ndarray, y: np.ndarray, variance: floa
     if family == "matern12":
         return s2 * np.exp(-r / ell)
     if family == "matern32":
-        z = np.sqrt(3.0) * r / ell
+        z = np.sqrt(r.dtype.type(3.0)) * r / ell
         return s2 * (1.0 + z) * np.exp(-z)
     if family == "matern52":
-        z = np.sqrt(5.0) * r / ell
+        z = np.sqrt(r.dtype.type(5.0)) * r / ell
         return s2 * (1.0 + z + z * z / 3.0) * np.exp(-z)
     if family == "wendland":
         t = r / support_radius

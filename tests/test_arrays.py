@@ -13,6 +13,7 @@ from olskit.arrays import (
 from olskit.kernels import KernelSpec, cross_kernel, kernel_eval, gram
 from olskit.linalg import DEFAULT_TOL, NotPsdError, Tolerance, symmetrize
 from olskit.model import (
+    FiniteModel,
     SupportViolationError,
     estimator_delta_norm,
     ols_build,
@@ -94,9 +95,10 @@ class TestModelFromDesign:
         assert not np.array_equal(k, k.T)
         assert np.array_equal(model_from_design(design).cov, symmetrize(k))
 
-    def test_krige_certifies_prior_with_one_cholesky_and_no_eigensolve(self, monkeypatch):
-        n = 30
-        design = grid_design(n=n, ell=0.3, family="matern52")
+    @staticmethod
+    def factorization_sizes(monkeypatch):
+        """Shapes of the matrices each of np.linalg's eigvalsh, eigh and
+        cholesky is called on, from now on."""
         sizes = {"eigvalsh": [], "eigh": [], "cholesky": []}
         for name in sizes:
             original = getattr(np.linalg, name)
@@ -106,10 +108,44 @@ class TestModelFromDesign:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        return sizes
+
+    def test_krige_certifies_prior_with_one_cholesky_and_no_eigensolve(self, monkeypatch):
+        # a Matern-5/2 Gram is PSD by theorem and its rounding is bounded
+        # (kernels._gram_gate), so the prior is certified with no n x n
+        # factorization at all, not even the gate's Cholesky
+        n = 30
+        design = grid_design(n=n, ell=0.3, family="matern52")
+        sizes = self.factorization_sizes(monkeypatch)
         krige(design, list(range(0, n, 5)), np.arange(6.0))
         assert sizes["eigvalsh"].count((n, n)) == 0
         assert sizes["eigh"].count((n, n)) == 0
-        assert sizes["cholesky"].count((n, n)) == 1
+        assert sizes["cholesky"].count((n, n)) == 0
+
+    @pytest.mark.parametrize("case", ["custom", "mixing", "wendland-d4", "small-abs-psd",
+                                      "plain-array"])
+    def test_uncertified_prior_takes_the_gate_cholesky(self, monkeypatch, case):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0.0, 1.0, (12, 4 if case == "wendland-d4" else 1))
+        base = KernelSpec("se", lengthscale=0.5)
+        specs = {
+            "custom": KernelSpec("custom", eval_hook=lambda i, j: kernel_eval(base, i, j)),
+            "mixing": KernelSpec("se", lengthscale=0.5, output_dim=2,
+                                 coregionalization=[[2.0, 0.5], [0.5, 1.0]]),
+            "wendland-d4": KernelSpec("wendland", support_radius=1.5),
+        }
+        # N (c + d) u = 12 * 65 * 2^-53, about 8.7e-14, above this abs_psd
+        tol = Tolerance(abs_psd=1e-14) if case == "small-abs-psd" else DEFAULT_TOL
+        design = ArrayDesign(pts, specs.get(case, base), tol=tol)
+        size = 12 * design.q
+        k = gram(design.kernel, pts)
+        sizes = self.factorization_sizes(monkeypatch)
+        if case == "plain-array":
+            model = FiniteModel(np.zeros(size), k)
+        else:
+            model = model_from_design(design)
+        assert np.array_equal(model.cov, k)
+        assert sizes["cholesky"].count((size, size)) == 1
 
 
 class TestRowKeys:

@@ -957,6 +957,78 @@ class TestExitCodes:
                           f"(reproduction_max_error {error:.6g})")
 
 
+class TestFlagsDoNotDependOnUnits:
+    """Data scaled by 2^k and the variance by 2^2k leave every flag and exit
+    code as they are: each flag's bound is relative to the values it compares."""
+
+    X = np.linspace(0.0, 6.0, 40)
+    OBSERVED = X[::4]
+
+    def run(self, tmp_path, command, k, values):
+        config = write_config(tmp_path / "c.json", {
+            "kernel": {"family": "matern52", "lengthscale": 0.7, "variance": 4.0 ** k},
+            "samples": 20,
+        })
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n" + "".join(
+            f"{float(a)!r},{float(v)!r}\n" for a, v in zip(self.OBSERVED, values)))
+        query = write_csv(tmp_path / "q.csv", "i_1\n" + "".join(
+            f"{float(a)!r}\n" for a in np.delete(self.X, np.arange(0, 40, 4))))
+        out = tmp_path / f"{command}-{k}"
+        code = run_cli([command, "--config", config, "--data", data, "--query", query,
+                        "--out", out])
+        return code, json.loads((out / "report.json").read_text())["flags"]
+
+    @pytest.mark.parametrize("command", ["krige", "condition", "classify-fuzzy"])
+    def test_scaled_data_keeps_flags_and_exit_code(self, tmp_path, capsys, command):
+        labels = (np.sin(self.OBSERVED) > 0.0).astype(float)
+        for k in range(-40, 41, 5):
+            if command == "classify-fuzzy":
+                values = labels  # labels stay 0 and 1; only the variance moves
+            else:
+                values = 2.0 ** k * np.sin(self.OBSERVED)
+            code, flags = self.run(tmp_path, command, k, values)
+            assert code == 0 and all(flags.values()), (k, flags, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["krige", "condition"])
+    def test_all_zero_data_passes(self, tmp_path, capsys, command):
+        code, flags = self.run(tmp_path, command, 0, np.zeros(self.OBSERVED.size))
+        assert code == 0 and all(flags.values()), capsys.readouterr().err
+
+
+class TestFailedWrite:
+    """An output that cannot be written is one ``error:`` line and exit 2."""
+
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0.0,0.3\n1.0,0.7\n")
+        out = tmp_path / "out"
+        (out / "predictions.csv").mkdir(parents=True)
+        assert run_cli(["krige", "--config", config, "--data", data, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "predictions.csv" in err
+        assert sorted(p.name for p in out.iterdir()) == ["predictions.csv"]  # no temp file
+
+    def test_output_directory_that_is_a_file(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0.0,0.3\n1.0,0.7\n")
+        out = tmp_path / "out"
+        out.write_text("taken")
+        assert run_cli(["krige", "--config", config, "--data", data, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert out.read_text() == "taken"
+
+    def test_temporary_file_removed_when_the_write_fails(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            cli.atomic_write(str(tmp_path / "report.json"), "{}\n")
+        assert not list(tmp_path.iterdir())
+
+
 class TestParserReuse:
     def test_runs_in_one_process_match_fresh_calls(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")

@@ -90,15 +90,36 @@ class TestResidualModel:
             assert named and named[1] == "1.000e-08", str(err)  # max|K| = 1
 
     def test_gate_rejection_of_the_residual_is_a_numerical_failure(self):
-        # at variance 1e-6 the identities pass their bound, 1e-8 max(1, max|K|),
-        # but R K R^T carries rounding of K's scale, far past its own PSD floor
+        # two coordinates are the observed four's combinations up to 1e-6, so
+        # R K R^T is ~1e-12 of max|K|: the identities pass their bound,
+        # 1e-8 max|K|, by far, but R K R^T carries rounding of K's scale,
+        # far past its own PSD floor, at every scale of K
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((4, 6))
+        f = np.vstack([a, rng.standard_normal((2, 4)) @ a + 1e-6 * rng.standard_normal((2, 6))])
+        for scale in (1.0, 1e-6):
+            est = ols_build(FiniteModel(np.zeros(6), scale * (f @ f.T)), np.eye(4, 6))
+            with pytest.raises(NumericalError, match=r"^R K R\^T is PSD in exact arithmetic, "
+                                                     r"but cov is not PSD: eigenvalue"):
+                residual_model(est)
+
+    @pytest.mark.parametrize("variance", [1.0, 1e-6])
+    def test_identity_and_fiber_verdicts_do_not_depend_on_units(self, variance):
+        # 40 points of [0, 1], SE with ell = 0.2, 30 observed: the identities
+        # and the fiber fail by rounding at 6 to 70 times their bounds, and
+        # both bounds are 1e-8 max|K|, so the verdicts are the same at every
+        # variance (under 1e-8 max(1, max|K|) both passed at variance 1e-6)
         x = np.linspace(0.0, 1.0, 40)
-        design = ArrayDesign(x[:, None], KernelSpec("se", lengthscale=0.2, variance=1e-6))
+        design = ArrayDesign(x[:, None], KernelSpec("se", lengthscale=0.2, variance=variance))
         observed = np.delete(np.arange(40), np.arange(0, 40, 4))
-        est = ols_build(model_from_design(design), restriction_map(design, observed))
-        with pytest.raises(NumericalError, match=r"^R K R\^T is PSD in exact arithmetic, "
-                                                 r"but cov is not PSD: eigenvalue"):
-            residual_model(est)
+        model = model_from_design(design)
+        g = restriction_map(design, observed)
+        with pytest.raises(NumericalError) as err:
+            residual_model(ols_build(model, g))
+        named = re.fullmatch(RESIDUAL_IDENTITIES, str(err.value))
+        assert named and named[1] == f"{1e-8 * variance:.3e}", str(err.value)
+        with pytest.raises(NumericalError, match="leaks off the fiber"):
+            conditional_gaussian(model, g, np.sqrt(variance) * np.sin(x[observed]))
 
     def test_identity_defects_are_named_with_the_bound(self):
         rng = np.random.default_rng(6)

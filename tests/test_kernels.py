@@ -20,7 +20,7 @@ from olskit.kernels import (
     metric_matrix,
     scalar_kernel,
 )
-from olskit.linalg import pinv
+from olskit.linalg import Tolerance, check_psd, pinv
 from olskit.svm import SvmProblem, decision_values, svm_train
 
 from helpers import (
@@ -206,6 +206,70 @@ class TestGram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one point"):
             gram(KernelSpec("se"), np.zeros((0, 1)))
+
+
+class TestGramCertificate:
+    """``_gram_gate``: closed-form stationary Grams are PSD by theorem and
+    rounded within (c + d) u max|K|, so the gate needs no factorization."""
+
+    CERTIFIED = ("se", "matern12", "matern32", "matern52", "wendland")
+
+    @staticmethod
+    def spec(family, scale, variance=1.0, **kwargs):
+        radius = scale if family == "wendland" else None
+        return KernelSpec(family, lengthscale=scale, variance=variance,
+                          support_radius=radius, **kwargs)
+
+    def test_rounding_bound_and_verdict_sweep(self):
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("np.longdouble is no wider than float64 on this platform")
+        u = np.finfo(float).eps / 2
+        rng = np.random.default_rng(2023)
+        for family in self.CERTIFIED:
+            for d in (1, 2, 3):
+                for _ in range(6):
+                    n = int(rng.integers(2, 401))
+                    scale = float(np.exp(rng.uniform(np.log(0.05), np.log(10.0))))
+                    spec = self.spec(family, scale, float(np.exp(rng.uniform(-3.0, 3.0))))
+                    x = rng.uniform(0.0, 1.0, (n, d))
+                    k = gram(spec, x)
+                    gate = kernels._gram_gate(spec, x, k)
+                    assert gate is not None and gate.matrix is k
+                    xl = x.astype(np.longdouble)
+                    exact = closed_form_kernel(family, xl, xl, spec.variance,
+                                               spec.lengthscale,
+                                               support_radius=spec.support_radius)
+                    err = float(np.abs(k - exact).max() / np.abs(k).max())
+                    assert err <= kernels._GRAM_ROUNDING * u / 4, (family, d, n, scale)
+                    assert check_psd(k).floor == gate.floor  # and check_psd passes
+
+    def test_value_dimension_without_mixing_is_certified(self):
+        x = np.linspace(0.0, 1.0, 7)[:, None]
+        spec = KernelSpec("matern32", lengthscale=0.4, output_dim=3)
+        k = gram(spec, x)
+        gate = kernels._gram_gate(spec, x, k)
+        assert gate is not None and gate.matrix is k and k.shape == (21, 21)
+
+    @pytest.mark.parametrize("spec, d", [
+        (KernelSpec("custom", eval_hook=lambda i, j: np.eye(1)), 1),
+        (KernelSpec("linear"), 1),
+        (KernelSpec("polynomial", degree=3), 2),
+        (KernelSpec("se", output_dim=2, coregionalization=np.eye(2)), 1),
+        (KernelSpec("wendland", support_radius=1.5), 4),
+    ], ids=["custom", "linear", "polynomial", "mixing", "wendland-d4"])
+    def test_uncovered_families_are_left_to_check_psd(self, spec, d):
+        x = np.random.default_rng(4).uniform(0.0, 1.0, (6, d))
+        assert kernels._gram_gate(spec, x, gram(spec, x)) is None
+
+    def test_size_bound(self):
+        # N (c + d) u <= abs_psd: at abs_psd 1e-10 and d = 1, N up to 13,860
+        u = np.finfo(float).eps / 2
+        spec = KernelSpec("se", lengthscale=0.3)
+        x = np.linspace(0.0, 1.0, 30)[:, None]
+        k = gram(spec, x)
+        edge = 30 * (kernels._GRAM_ROUNDING + 1) * u
+        assert kernels._gram_gate(spec, x, k, Tolerance(abs_psd=edge)) is not None
+        assert kernels._gram_gate(spec, x, k, Tolerance(abs_psd=edge * 0.99)) is None
 
 
 MIX = np.array([[2.0, 0.6], [0.6, 1.0]])

@@ -280,6 +280,17 @@ class TestOlsEstimate:
             ols_estimate(est, bad)
         assert err.value.residual > 0.0
 
+    def test_support_verdict_does_not_depend_on_units(self):
+        # a repeated functional with two values 1e-4 apart is off the support
+        # at every scale; an absolute term once accepted it below c ~ 1e-11
+        est = ols_build(FiniteModel(np.zeros(2), np.eye(2)), [[1.0, 0.0], [1.0, 0.0]])
+        for k in range(-60, 61):
+            with pytest.raises(SupportViolationError):
+                ols_estimate(est, 2.0 ** k * np.array([1.0, 1.0 + 1e-4]))
+            got = ols_estimate(est, [2.0 ** k] * 2)  # on the support at every scale
+            assert np.allclose(got, [2.0 ** k, 0.0], rtol=1e-14, atol=0.0)
+        assert np.array_equal(ols_estimate(est, [0.0, 0.0]), [0.0, 0.0])
+
     def test_support_projection_optin(self):
         model, _ = make_model(13, 3, rank=1)
         est = ols_build(model, np.eye(3))
