@@ -13,8 +13,8 @@ dispatches on it and ``_build_parser`` builds the subcommands from it.
 Exit code 0 means the run passed, 1 means a verification or numerical
 gate failed (stderr names each false flag and the metric it gates), 2
 means bad input or an output that cannot be written.  A library warning,
-such as the SVM's strict-definiteness warning, is printed to stderr as
-one ``warning: <message>`` line.
+such as the SVM's on a Gram that no theorem certifies strictly PD, is
+printed to stderr as one ``warning: <message>`` line.
 
 Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
@@ -372,8 +372,11 @@ def config_from_dict(raw: dict) -> Config:
         _require(kernel["support_radius"] > 0, "kernel.support_radius",
                  "must be > 0")
     if kernel["coregionalization"] is not None:
-        _require(isinstance(kernel["coregionalization"], list),
+        rows = kernel["coregionalization"]
+        _require(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
                  "kernel.coregionalization", "must be a matrix (list of rows)")
+        for value in (v for row in rows for v in row):
+            _as_number(value, "kernel.coregionalization")
 
     _require("seed" in raw, "seed", "required field is missing")
     _as_int(raw["seed"], "seed", 0)

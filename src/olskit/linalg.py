@@ -8,10 +8,11 @@ convention, so repeated calls produce bit-identical output.
 A PSD gate (``PsdGate``) holds a matrix to one floor, ``abs_psd * max|K|``,
 and comes from one of two certificates.  ``check_psd`` decides by a
 Cholesky factorization of ``K + floor*I``; it gates every covariance given
-as a matrix, every coregionalization matrix, every SVM Gram, every
-``psd_factor`` input and every design prior the other certificate does
-not cover.  ``kernels._gram_gate`` decides with no factorization, by
-theorem and a rounding bound, for the closed-form stationary Grams.
+as a matrix, every coregionalization matrix, every ``psd_factor`` input
+and every design prior or SVM Gram the other certificate does not cover.
+``kernels._gram_gate`` decides with no factorization, by theorem and a
+rounding bound, for the closed-form stationary Grams, and its theorem
+also answers the SVM's question of strict definiteness.
 """
 
 from __future__ import annotations

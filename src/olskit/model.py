@@ -357,7 +357,8 @@ def gmt_compare(model: FiniteModel, obs, f, alternatives,
     inverse can explain less variance of f than least squares), the
     bias-variance identity residual, and an equality flag that fires exactly
     when the alternative's adjoint action on f coincides with the
-    least-squares one.  ``excess`` is the covariance-norm defect
+    least-squares one, to 1e-8 of the larger of the two, so the flag does
+    not depend on the units of f.  ``excess`` is the covariance-norm defect
     ||(L_alt - L_ols)^T f||^2, the quantity the orthogonal-projection
     argument actually controls; it equals ``mse_slack`` up to rounding and
     is nonnegative for every right inverse.
@@ -375,7 +376,7 @@ def gmt_compare(model: FiniteModel, obs, f, alternatives,
         diff = (gain_alt - est.gain).T @ f
         excess = float(diff @ s @ diff)
         adjoint_gap = float(np.linalg.norm(diff))
-        scale = max(1.0, float(np.linalg.norm(est.gain.T @ f)))
+        scale = float(max(np.linalg.norm(est.gain.T @ f), np.linalg.norm(gain_alt.T @ f)))
         rows.append(GmtRow(
             estvar=rep.estvar,
             mse=rep.mse,

@@ -16,10 +16,12 @@ labels) uses kernel evaluations only.
 
 Each problem builds one signed Gram over ``[d1; d0]`` on first use.  The
 PSD gate, training, the margin audit's quadratic form and ``xi_distance``
-all read it.  The gate runs on its unique-point block, so a point repeated
-within one class does not trip it, and its strict-PD warning is a second
-Cholesky certificate, at -floor, not an eigensolve.  ``margin_check``
-recomputes the pointwise side independently through ``decision_values``.
+all read it.  A Gram ``kernels._gram_gate`` certifies is strictly PD at
+distinct points by theorem, so it is neither factored nor warned about.
+Any other is gated on its unique-point block (a point repeated within one
+class does not trip it) and warns unless a Cholesky at -floor succeeds.
+``margin_check`` recomputes the pointwise side independently through
+``decision_values``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import KernelSpec, _first_rows, as_points, cross_kernel
+from .kernels import KernelSpec, _first_rows, _gram_gate, as_points, cross_kernel
 from .linalg import DEFAULT_TOL, Tolerance, _cholesky_certifies, check_psd
 
 
@@ -75,14 +77,17 @@ class SvmProblem:
 
         Entry (a, b) is s_a s_b c(x_a, x_b), with s = +1 on d1 and -1 on d0,
         so the nearest-point objective over x = [nu1; nu0] is x^T Q x.  The
-        signs leave the spectrum unchanged, so the PSD gate reads Q itself,
-        restricted to one row per distinct point.
+        signs leave the spectrum unchanged, so the PSD gate reads Q itself:
+        ``_gram_gate``'s theorem, or else ``check_psd`` on one row per
+        distinct point and a warning when lambda_min <= floor there.
         """
         pts = np.vstack([self.d1, self.d0])
         q = cross_kernel(self.kernel, pts, pts)
         n1 = self.d1.shape[0]
         q[:n1, n1:] *= -1.0
         q[n1:, :n1] *= -1.0
+        if _gram_gate(self.kernel, pts, q, self.tol) is not None:
+            return q  # strictly PD at distinct points by theorem
         # the last index of each distinct point, in first-occurrence order
         n = pts.shape[0]
         last = n - 1 - _first_rows(pts[::-1])[::-1]

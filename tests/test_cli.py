@@ -122,6 +122,25 @@ class TestConfig:
         assert code == 2
         assert f"error: {path}: must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix", [[[True]], [[1, "2"], [2, 5]],
+                                        [[1.0, None], [0.0, 1.0]]],
+                             ids=["boolean", "string", "null"])
+    def test_non_number_coregionalization_is_input_error(self, tmp_path, capsys, matrix):
+        config = write_config(tmp_path / "c.json", {"kernel": {
+            "family": "se", "output_dim": len(matrix), "coregionalization": matrix}})
+        code = run_cli(["verify", "uii", "--config", config, "--out", tmp_path / "out"])
+        assert code == 2
+        assert "error: kernel.coregionalization: expected a number, got " in (
+            capsys.readouterr().err)
+
+    def test_valid_coregionalization_kept_as_given(self):
+        matrix = [[2, 1], [1, 1.5]]
+        config = config_from_dict({**MINIMAL, "kernel": {
+            "family": "se", "output_dim": 2, "coregionalization": matrix}})
+        assert canonical_json(config.to_dict()["kernel"]["coregionalization"]) == (
+            canonical_json(matrix))
+        assert np.array_equal(config.spec.coregionalization, matrix)
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("path, raw", [
         ("kernel.lengthscale", {"kernel": {"family": "se", "lengthscale": None}}),
@@ -558,10 +577,11 @@ class TestClassifyCommands:
                         "--out", tmp_path / "out"]) == 0
         assert 120 ** 2 <= sum(entries) <= 2 * 120 ** 2
 
-    @pytest.mark.filterwarnings("default:kernel gram is not strictly positive definite")
-    def test_svm_warns_without_an_eigensolve(self, tmp_path, monkeypatch, capsys):
-        # the classify-svm benchmark's shape: 2 x 60 blobs, SE with l = 0.7,
-        # whose Gram is PSD but not strictly PD at the gate's floor
+    def test_svm_certified_gram_runs_no_factorization_and_no_warning(
+            self, tmp_path, monkeypatch, capsys):
+        # the classify-svm benchmark's shape: 2 x 60 blobs, SE with l = 0.7;
+        # its computed Gram is singular at the gate's floor, but the kernel
+        # is strictly PD at distinct points by theorem (kernels._gram_gate)
         rng = np.random.default_rng([5, 0])
         c = np.array([1.5, 0.0])
         d0 = -c + 0.5 * rng.standard_normal((60, 2))
@@ -576,14 +596,13 @@ class TestClassifyCommands:
                               {"kernel": {"family": "se", "lengthscale": 0.7}})
 
         def refuse(*args, **kwargs):
-            raise AssertionError("eigensolve called")
+            raise AssertionError("factorization called")
 
-        for name in ("eigvalsh", "eigh", "eig"):
+        for name in ("cholesky", "eigvalsh", "eigh", "eig"):
             monkeypatch.setattr(np.linalg, name, refuse)
         assert run_cli(["classify-svm", "--config", config, "--data", data,
                         "--query", query, "--out", tmp_path / "out"]) == 0
-        warning, wrote = capsys.readouterr().err.splitlines()
-        assert warning == STRICT_PD_WARNING
+        wrote, = capsys.readouterr().err.splitlines()
         assert wrote.startswith("classify-svm: wrote ")
 
     @pytest.mark.filterwarnings("default:kernel gram is not strictly positive definite")

@@ -110,6 +110,13 @@ class TestKernelEval:
         ({"family": "se", "lengthscale": np.inf}, "lengthscale must be finite"),
         ({"family": "se", "variance": np.inf}, "variance must be finite"),
         ({"family": "wendland", "support_radius": np.inf}, "support_radius must be finite"),
+        ({"family": "se", "lengthscale": True}, "lengthscale .*, got True"),
+        ({"family": "se", "lengthscale": np.True_}, "lengthscale .*, got (np.)?True"),
+        ({"family": "se", "variance": True}, "variance .*, got True"),
+        ({"family": "se", "variance": np.True_}, "variance .*, got (np.)?True"),
+        ({"family": "wendland", "support_radius": True}, "support_radius .*, got True"),
+        ({"family": "wendland", "support_radius": np.True_},
+         "support_radius .*, got (np.)?True"),
     ])
     def test_non_integer_or_infinite_hyperparameters(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -441,6 +441,17 @@ class TestGmtCompare:
             # the two formulations agree: mse slack equals the projected excess
             assert all(abs(r.mse_slack - r.excess) < 1e-8 for r in report.rows)
 
+    def test_equality_flag_ignores_the_units_of_f(self):
+        # the adjoint gap is held relative to the larger of the two actions
+        # on f, so f and c f get one verdict for every c > 0
+        model, rng = make_model(0, 5)
+        g = rng.standard_normal((3, 5))
+        est = ols_build(model, g)
+        alts = [est.gain, random_right_inverse(est, 1)]
+        for k in range(-60, 61):
+            report = gmt_compare(model, g, 2.0 ** k * np.ones(5), alts)
+            assert [r.equality for r in report.rows] == [True, False], k
+
     def test_biased_estimator_mse_still_dominates(self):
         model, rng = make_model(28, 5)
         g = rng.standard_normal((2, 5))

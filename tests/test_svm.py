@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from olskit import svm
-from olskit.kernels import KernelSpec, scalar_kernel
-from olskit.linalg import NotPsdError, check_psd
+from olskit.kernels import KernelSpec, kernel_eval, scalar_kernel
+from olskit.linalg import DEFAULT_TOL, NotPsdError, Tolerance, check_psd
 from olskit.svm import (
     ConvergenceError,
     _support_solve,
@@ -99,7 +99,6 @@ class TestLineFixture:
         assert decision_values(model, problem, [[3.0]])[0] >= 0.0
 
 
-@pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
 class TestSingletonsAndDuplicates:
     def test_singleton_sets_any_kernel(self):
         problem = SvmProblem(SE, [[0.0, 0.0]], [[2.0, 1.0]])
@@ -116,6 +115,7 @@ class TestSingletonsAndDuplicates:
             dup = svm_train(SvmProblem(SE, problem.d0, d1))
         assert abs(dup.rho - base.rho) < 1e-8
 
+    @pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
     def test_duplicate_support_point_leaves_margin_unchanged(self):
         base = svm_train(line_problem())
         with pytest.warns(RuntimeWarning, match="strictly positive"):
@@ -316,6 +316,105 @@ def test_strict_pd_warning_follows_lambda_min(lam_min_over_floor, verdict, monke
         assert (lam_min <= 1e-10 * np.abs(k).max()) == (verdict == "warns")
 
 
+class TestGramCertificate:
+    """``signed_gram`` asks ``kernels._gram_gate`` first: a Gram it certifies
+    is strictly PD at distinct points by theorem, so nothing is factored and
+    nothing warns; any other takes ``check_psd`` and the -floor Cholesky."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """From now on, the name of every np.linalg function called, and
+        ("check_psd", floor) and ("strict", shift) for svm's two gates."""
+        calls, gates = [], []
+        for name in np.linalg.__all__:
+            original = getattr(np.linalg, name)
+            if isinstance(original, type) or not callable(original):
+                continue
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        check, strict = svm.check_psd, svm._cholesky_certifies
+
+        def checked(*args, **kwargs):
+            gate = check(*args, **kwargs)
+            gates.append(("check_psd", gate.floor))
+            return gate
+
+        def certifies(sym, shift):
+            gates.append(("strict", shift))
+            return strict(sym, shift)
+
+        monkeypatch.setattr(svm, "check_psd", checked)
+        monkeypatch.setattr(svm, "_cholesky_certifies", certifies)
+        return calls, gates
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["se", "matern12", "matern32", "matern52",
+                                        "wendland"])
+    def test_certified_gram_is_neither_factored_nor_warned(self, monkeypatch, family, d):
+        rng = np.random.default_rng([2024, d])
+        d0 = rng.standard_normal((25, d))
+        d1 = rng.standard_normal((25, d)) + 3.0
+        d1 = np.vstack([d1, d1[:2]])  # repeated points make Q singular
+        radius = 2.0 if family == "wendland" else None
+        problem = SvmProblem(KernelSpec(family, lengthscale=0.7, support_radius=radius),
+                             d0, d1)
+        calls, gates = self.recorded(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem.signed_gram
+        assert calls == [] and gates == []
+
+    def test_benchmark_gram_is_certified_though_numerically_singular(self, monkeypatch):
+        # the classify-svm benchmark's shape: 2 x 60 blobs, SE with l = 0.7,
+        # whose computed Gram fails the -floor Cholesky, yet the kernel is
+        # strictly PD at distinct points
+        rng = np.random.default_rng([5, 0])
+        c = np.array([1.5, 0.0])
+        d0 = -c + 0.5 * rng.standard_normal((60, 2))
+        d1 = c + 0.5 * rng.standard_normal((60, 2))
+        problem = SvmProblem(KernelSpec("se", lengthscale=0.7), d0, d1)
+        calls, gates = self.recorded(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = problem.signed_gram
+        assert calls == [] and gates == []
+        monkeypatch.undo()
+        gate = check_psd(q)
+        assert not svm._cholesky_certifies(gate.matrix, -gate.floor)
+
+    @pytest.mark.parametrize("case", ["linear", "polynomial", "custom", "mixing",
+                                      "wendland-d4", "small-abs-psd"])
+    def test_uncertified_gram_takes_check_psd_then_the_strict_cholesky(
+            self, monkeypatch, case):
+        rng = np.random.default_rng(77)
+        d = 4 if case == "wendland-d4" else 2
+        d0 = rng.standard_normal((10, d))
+        d1 = rng.standard_normal((10, d)) + 3.0
+        base = KernelSpec("se", lengthscale=0.7)
+        spec = {
+            "linear": KernelSpec("linear"),
+            "polynomial": KernelSpec("polynomial", degree=3),
+            "custom": KernelSpec("custom", eval_hook=lambda i, j: kernel_eval(base, i, j)),
+            "mixing": KernelSpec("se", lengthscale=0.7, coregionalization=[[1.0]]),
+            "wendland-d4": KernelSpec("wendland", support_radius=5.0),
+        }.get(case, base)
+        # N (c + d) u = 20 * 66 * 2^-53, about 1.5e-13, above this abs_psd
+        tol = Tolerance(abs_psd=1e-14) if case == "small-abs-psd" else DEFAULT_TOL
+        problem = SvmProblem(spec, d0, d1, tol)
+        calls, gates = self.recorded(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            problem.signed_gram
+        (check, floor), strict = gates
+        assert check == "check_psd" and floor > 0.0
+        assert strict == ("strict", -floor)
+        assert calls[-1] == "cholesky"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_support_solve_matches_block_assembly(seed):
     # the KKT matrix is filled in place, entry for entry the np.block one
@@ -343,7 +442,6 @@ def overlapping_blobs(offset, n):
     return SvmProblem(KernelSpec("se", lengthscale=0.7), d0, d1)
 
 
-@pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
 class TestOverlappingBlobs:
     # nearly touching and intersecting hulls, on which pairwise weight
     # exchanges (Mitchell-Demyanov-Malozemov) stall far above tol
@@ -434,11 +532,14 @@ def sweep_cases(count=90):
             d0 = np.vstack([d0, d0[rng.integers(n0, size=2)]])
             d1 = np.vstack([d1, d1[rng.integers(n1, size=2)]])
         spec = SWEEP_SPECS[i % len(SWEEP_SPECS)]
-        cases.append(pytest.param(spec, d0, d1, id=f"{i}-{spec.family}"))
+        # only a Gram no theorem certifies may warn
+        marks = (pytest.mark.filterwarnings(
+            "ignore:kernel gram is not strictly positive definite"),
+        ) if spec.family in ("linear", "polynomial") else ()
+        cases.append(pytest.param(spec, d0, d1, id=f"{i}-{spec.family}", marks=marks))
     return cases
 
 
-@pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
 @pytest.mark.parametrize("spec, d0, d1", sweep_cases())
 def test_kernel_family_sweep_certifies_or_reports_overlap(spec, d0, d1):
     problem = SvmProblem(spec, d0, d1)
