@@ -19,7 +19,10 @@ printed to stderr as one ``warning: <message>`` line.
 Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
 across runs; wall time goes to stderr, never into the report.  All output
-files are written atomically (temp file plus rename).
+files are written atomically (temp file plus rename).  The report's
+``inputs`` holds each input file's SHA-256 hex digest, from the
+interpreter's built-in SHA-256, so only the commands that draw random
+numbers load OpenSSL (through ``numpy.random``).
 
 Every float in a CSV table or a JSON array is written as ``"%.17g" % x``
 would write it.  Tables of a few hundred cells or more are converted by
@@ -33,7 +36,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import os
@@ -57,6 +59,17 @@ from .kernels import (
 from .linalg import Tolerance
 from .svm import SvmProblem, margin_check, decision_values, svm_train
 from .verify import VERIFY_TARGETS
+
+# Input digests take the interpreter's own SHA-256 (the module hashlib falls
+# back to), not hashlib's: hashlib loads OpenSSL's libcrypto, about 3.5 MB
+# resident, only to hash two or three files.
+try:
+    from _sha2 import sha256 as _new_sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256  # CPython 3.10, 3.11, PyPy
+    except ImportError:  # built without its own SHA-2 modules
+        from hashlib import sha256 as _new_sha256
 
 SCHEMA_VERSION = 1
 
@@ -267,7 +280,7 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def _sha256(path: str) -> str:
-    h = hashlib.sha256()
+    h = _new_sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)

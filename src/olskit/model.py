@@ -24,6 +24,7 @@ from .linalg import (
     NumericalError,
     PsdGate,
     Tolerance,
+    _svd_cutoff,
     as_matrix,
     as_vector,
     check_psd,
@@ -424,11 +425,14 @@ def paley_wiener(model: FiniteModel, u, v) -> float:
     v = as_vector(v, "v")
     if u.size != model.n or v.size != model.n:
         raise ValueError("u and v must match the model dimension")
-    p_k = range_projector(model.cov, model.tol)
-    resid = float(np.linalg.norm(u - p_k @ u))
+    # one SVD gives both the range residual and K^+ u, at pinv's cut
+    w, s, vt = np.linalg.svd(model.cov)
+    keep = s > _svd_cutoff(s, model.cov.shape, model.tol)
+    coef = w[:, keep].T @ u
+    resid = float(np.linalg.norm(u - w[:, keep] @ coef))
     threshold = model.tol.support_threshold(float(np.linalg.norm(u)))
     if resid > threshold:
         raise SupportViolationError(
             f"u lies outside range(K) (residual {resid:.3e})", residual=resid
         )
-    return float((pinv(model.cov, model.tol) @ u) @ (v - model.mean))
+    return float((vt[keep].T @ (coef / s[keep])) @ (v - model.mean))

@@ -306,9 +306,10 @@ def margin_check(model: SvmModel, problem: SvmProblem,
         float(np.abs(g1[sv1] - rho2 / 2.0).max()) if sv1.size else 0.0,
         float(np.abs(g0[sv0] + rho2 / 2.0).max()) if sv0.size else 0.0,
     )
-    # projected distance between pairs along xi: (xi(d1) - xi(d0)) / rho
-    proj = (g1[:, None] - g0[None, :]) / model.rho
-    pair_slack = float(proj.min()) - (model.rho - tol)
+    # least projected distance of a cross pair along xi, (xi(d1) - xi(d0)) / rho;
+    # rounding is monotone in each operand, so the closest pair's bits are
+    # those of the least entry of the n1 x n0 pair matrix
+    pair_slack = float((g1.min() - g0.max()) / model.rho) - (model.rho - tol)
     # ||xi||^2 two ways: quadratic form in the weights vs pointwise sums
     xi1 = g1 + model.offset
     xi0 = g0 + model.offset

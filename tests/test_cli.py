@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -521,6 +522,32 @@ class TestKrigeCommand:
                  (out / "predictions.csv").read_bytes())
             )
         assert outputs[0] == outputs[1]
+
+
+class TestInputDigests:
+    """``report.json``'s ``inputs`` are the SHA-256 digests hashlib gives."""
+
+    @pytest.mark.parametrize("size", [0, 40, 200_000], ids=["empty", "csv", "chunks"])
+    def test_digest_matches_hashlib(self, tmp_path, size):
+        if size == 40:
+            raw = b"i_1,v_1\n0.0,0.3\n1.0,0.7\n0.5,-0.25\n2.0,1\n"
+        else:  # 200 kB spans four 64 KiB read chunks
+            raw = np.random.default_rng(5).bytes(size)
+        path = tmp_path / "f"
+        path.write_bytes(raw)
+        assert cli._sha256(str(path)) == hashlib.sha256(raw).hexdigest()
+
+    def test_report_records_each_input_digest(self, tmp_path):
+        config = write_config(tmp_path / "c.json")
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0.0,0.3\n1.0,0.7\n")
+        query = write_csv(tmp_path / "q.csv", "i_1\n0.5\n")
+        out = tmp_path / "out"
+        assert run_cli(["krige", "--config", config, "--data", data,
+                        "--query", query, "--out", out]) == 0
+        inputs = json.loads((out / "report.json").read_text())["inputs"]
+        assert inputs == {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                          for name, path in (("config", config), ("data", data),
+                                             ("query", query))}
 
 
 class TestClassifyCommands:

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import os
 import pkgutil
@@ -22,6 +23,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # second entry points to a capability that has one; each stays deleted
 DELETED = ("delta_norm", "svm_decision", "svm_classify", "psd_eigh", "ObservationMap",
            "TransformSpec", "PsdSpectrum")
+
+# the CLI hashes its inputs without OpenSSL wherever the interpreter has its
+# own SHA-256 module
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+OPENSSL = ("_hashlib",) if BUILTIN_SHA256 else ()
 
 
 @pytest.mark.parametrize("path", sorted((SRC / "olskit").glob("*.py")),
@@ -67,13 +73,31 @@ def test_no_function_takes_a_model_and_its_estimator():
 
 
 def test_import_leaves_scipy_unloaded():
-    # fractions and decimal too: the float writer's tables are built from ints
+    # fractions and decimal too: the float writer's tables are built from ints;
+    # and OpenSSL's _hashlib, where the interpreter has its own SHA-256
+    unloaded = ("scipy", "fractions", "decimal", "_decimal") + OPENSSL
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = ("import sys, olskit, olskit.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'fractions', 'decimal', '_decimal')))")
+             f"if m.split('.')[0] in {unloaded!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="no built-in SHA-256 module")
+def test_krige_leaves_openssl_unloaded(tmp_path):
+    (tmp_path / "c.json").write_text('{"kernel": {"family": "se"}, "seed": 0}')
+    (tmp_path / "d.csv").write_text("i_1,v_1\n0.0,1.0\n1.0,0.5\n")
+    (tmp_path / "q.csv").write_text("i_1\n0.5\n2.0\n")
+    argv = ["krige", "--config", "c.json", "--data", "d.csv", "--query", "q.csv",
+            "--out", "out"]
+    probe = ("import sys; from olskit.cli import main; "
+             f"print(main({argv!r}), '_hashlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 def test_deleted_functions_stay_deleted():

@@ -566,6 +566,24 @@ class TestPaleyWiener:
         with pytest.raises(SupportViolationError):
             paley_wiener(model, u, model.mean)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n, rank", [(6, None), (6, 3), (12, 5)])
+    def test_one_svd_matches_projector_and_pinv(self, seed, n, rank):
+        # the pairing from pinv(K) and range_projector(K), each its own SVD
+        model, rng = make_model(100 + seed, n, rank)
+        v = rng.standard_normal(n)
+        for u in (model.cov @ rng.standard_normal(n), rng.standard_normal(n)):
+            resid = np.linalg.norm(u - range_projector(model.cov, model.tol) @ u)
+            outside = resid > model.tol.support_threshold(float(np.linalg.norm(u)))
+            if outside:
+                with pytest.raises(SupportViolationError):
+                    paley_wiener(model, u, v)
+                continue
+            ku = pinv(model.cov, model.tol) @ u
+            want = float(ku @ (v - model.mean))
+            got = paley_wiener(model, u, v)
+            assert abs(got - want) <= 1e-12 * np.linalg.norm(ku) * np.linalg.norm(v - model.mean)
+
 
 class TestSample:
     def test_zero_covariance(self):

@@ -41,6 +41,18 @@ def blobs_problem(seed=0):
     return SvmProblem(SE, d0, d1)
 
 
+# the classify-svm benchmark's training sets: 2 x 60 blobs, SE with l = 0.7
+BENCH_SPEC = KernelSpec("se", lengthscale=0.7)
+
+
+def benchmark_blobs(seed, k):
+    rng = np.random.default_rng([seed, k])
+    c = np.array([1.5, 0.0])
+    d0 = -c + 0.5 * rng.standard_normal((60, 2))
+    d1 = c + 0.5 * rng.standard_normal((60, 2))
+    return d0, d1
+
+
 def recomputed_gap(problem, model):
     """Duality gap of a trained model from a Gram built by ``scalar_kernel``."""
     d0, d1, spec = problem.d0, problem.d1, problem.kernel
@@ -369,14 +381,9 @@ class TestGramCertificate:
         assert calls == [] and gates == []
 
     def test_benchmark_gram_is_certified_though_numerically_singular(self, monkeypatch):
-        # the classify-svm benchmark's shape: 2 x 60 blobs, SE with l = 0.7,
-        # whose computed Gram fails the -floor Cholesky, yet the kernel is
-        # strictly PD at distinct points
-        rng = np.random.default_rng([5, 0])
-        c = np.array([1.5, 0.0])
-        d0 = -c + 0.5 * rng.standard_normal((60, 2))
-        d1 = c + 0.5 * rng.standard_normal((60, 2))
-        problem = SvmProblem(KernelSpec("se", lengthscale=0.7), d0, d1)
+        # a benchmark input, whose computed Gram fails the -floor Cholesky,
+        # yet the kernel is strictly PD at distinct points
+        problem = SvmProblem(BENCH_SPEC, *benchmark_blobs(5, 0))
         calls, gates = self.recorded(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -548,3 +555,17 @@ def test_kernel_family_sweep_certifies_or_reports_overlap(spec, d0, d1):
     except SeparationError:
         return
     assert recomputed_gap(problem, model) <= 1e-10 + 1e-14
+
+
+@pytest.mark.parametrize("spec, d0, d1", sweep_cases() + [
+    pytest.param(BENCH_SPEC, *benchmark_blobs(seed, k), id=f"bench-{seed}-{k}")
+    for seed in (3, 11) for k in range(5)])
+def test_pair_slack_is_the_pair_matrix_minimum(spec, d0, d1):
+    problem = SvmProblem(spec, d0, d1)
+    try:
+        model = svm_train(problem, max_iter=5000)
+    except SeparationError:
+        return
+    report = margin_check(model, problem)
+    pairs = (report.decision_1[:, None] - report.decision_0[None, :]) / model.rho
+    assert report.pair_separation_slack == float(pairs.min()) - (model.rho - 1e-4)
