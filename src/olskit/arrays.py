@@ -114,13 +114,10 @@ def transform_map(design: ArrayDesign, target_points, value_map) -> np.ndarray:
         raise ValueError(
             f"value_map has {w.shape[1]} columns, design value_dim is {design.q}"
         )
-    q_out = w.shape[0]
-    n = design.n_points * design.q
-    g = np.zeros((targets.shape[0] * q_out, n))
-    for row, point in enumerate(targets):
-        i = _locate(point, design.index_points, "is not a design point")
-        g[row * q_out:(row + 1) * q_out, i * design.q:(i + 1) * design.q] = w
-    return g
+    idx = _locate(targets, design.index_points, "is not a design point")
+    g = np.zeros((idx.size, w.shape[0], design.n_points, design.q))
+    g[np.arange(idx.size), :, idx, :] = w
+    return g.reshape(idx.size * w.shape[0], design.n_points * design.q)
 
 
 @dataclass(frozen=True, eq=False)

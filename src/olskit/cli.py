@@ -52,7 +52,7 @@ from .disintegration import conditional_gaussian, stochastic_ols_sample
 from .kernels import (
     IndexedDataset,
     KernelSpec,
-    _first_rows,
+    _locate,
     default_epsilon_grid,
     entropy_integral,
 )
@@ -522,12 +522,8 @@ def _design(config: Config, query: np.ndarray, observed: np.ndarray):
     present, and the design index of each observed point.  Points compare
     by value (-0.0 equals 0.0), and an observed point that the query holds
     keeps its query index."""
-    if query.shape[1] != observed.shape[1]:
-        raise ValueError(
-            f"index dimension mismatch: {query.shape[1]} vs {observed.shape[1]}"
-        )
     n = query.shape[0]
-    observed_idx = _first_rows(np.vstack([query, observed]))[n:]
+    observed_idx = _locate(observed, query)
     extra = observed_idx >= n  # observed points the query lacks
     observed_idx[extra] = n + np.arange(np.count_nonzero(extra))
     points = np.vstack([query, observed[extra]])

@@ -14,8 +14,9 @@ built from.  The sampler, ``convolution_sample`` and both Monte Carlo
 audits share one lift est(G v) and one residual map v -> v - est(G v)
 applied to prior draws (so the audits check the sampler conditioning
 ships); the convolution measure is drawn by one map, ``_convolution``.
-Exact enumeration shares the lift and one atom table, which adds up points
-equal to 12 decimals.
+Exact enumeration, the total-variation distance and ``verify uii``'s
+forbidden-atom indicator share one grouping of atoms, ``_atoms``: points
+rounded to 12 decimals and compared by ``kernels._first_rows``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _first_rows
 from .linalg import NumericalError, as_matrix, as_vector, symmetrize
 from .model import (
     FiniteModel,
@@ -72,26 +74,18 @@ class DiscreteMeasure:
         return float(self.probs @ s(self.points))
 
 
-def _atom_key(point) -> tuple:
-    return tuple(np.round(point, _ATOM_DECIMALS))
-
-
-def _atom_table(probs, points) -> dict[tuple, float]:
-    """Mass per atom, in order of first appearance; repeated atoms add up."""
-    table: dict[tuple, float] = {}
-    for pr, pt in zip(probs, points):
-        key = _atom_key(pt)
-        table[key] = table.get(key, 0.0) + float(pr)
-    return table
+def _atoms(points) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each atom (rows equal at 12 decimals), in order of first
+    appearance, and each row's atom's position in that list."""
+    return np.unique(_first_rows(np.round(points, _ATOM_DECIMALS)), return_inverse=True)
 
 
 def _merge_atoms(probs, points) -> DiscreteMeasure:
-    table = _atom_table(probs, points)
-    keys = sorted(table)
-    return DiscreteMeasure(
-        np.array([table[k] for k in keys]),
-        np.array([list(k) for k in keys]),
-    )
+    """Atoms in lexicographic order, each with its rows' masses added in order."""
+    first, inverse = _atoms(points)
+    atoms = np.round(points[first], _ATOM_DECIMALS)
+    order = np.lexsort(atoms.T[::-1])
+    return DiscreteMeasure(np.bincount(inverse, probs)[order], atoms[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,8 +317,13 @@ def discrete_convolution(measure: DiscreteMeasure, obs) -> DiscreteMeasure:
 
 def total_variation(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     """Exact total-variation distance; repeated atoms add up before comparing."""
-    ta, tb = _atom_table(a.probs, a.points), _atom_table(b.probs, b.points)
-    return 0.5 * sum(abs(ta.get(k, 0.0) - tb.get(k, 0.0)) for k in {**ta, **tb})
+    if a.n != b.n:
+        raise ValueError(f"index dimension mismatch: {a.n} vs {b.n}")
+    first, inverse = _atoms(np.vstack([a.points, b.points]))
+    k = a.probs.size
+    diff = (np.bincount(inverse[:k], a.probs, first.size)
+            - np.bincount(inverse[k:], b.probs, first.size))
+    return 0.5 * sum(np.abs(diff).tolist())
 
 
 def _disintegration_check_discrete(measure: DiscreteMeasure, obs,
@@ -365,7 +364,8 @@ def uii_counterexample():
     forbidden = np.array([1.0, 1.0])
 
     def mass_at(m: DiscreteMeasure, point: np.ndarray) -> float:
-        return _atom_table(m.probs, m.points).get(_atom_key(point), 0.0)
+        _, inverse = _atoms(np.vstack([m.points, point]))
+        return float(np.bincount(inverse, np.append(m.probs, 0.0))[inverse[-1]])
 
     coord_cov = float(measure.cov()[0, 1])
     report = {

@@ -10,7 +10,8 @@ Co-arrays are finitely supported weighted point masses; applying one to a
 dataset is a plain weighted sum, and covariances between co-arrays contract
 the kernel blocks on both sides.  The covariance (pseudo-)metric derived
 from the kernel drives greedy covering numbers and the integrated entropy
-estimate.
+estimate.  Index points are equal when their coordinates are equal by value
+(-0.0 equals 0.0): ``_first_rows`` decides it, and ``_locate`` looks up by it.
 """
 
 from __future__ import annotations
@@ -490,13 +491,18 @@ def _first_rows(points: np.ndarray) -> np.ndarray:
     return first
 
 
-def _locate(point, table: np.ndarray, missing: str) -> int:
-    """Exact-match row of ``point`` in ``table``; ``missing`` ends the error."""
-    target = np.atleast_1d(np.asarray(point, dtype=float))
-    hits = np.flatnonzero(np.all(table == target[None, :], axis=1))
-    if hits.size == 0:
-        raise ValueError(f"point {target.tolist()} {missing}")
-    return int(hits[0])
+def _locate(points, table: np.ndarray, missing: str | None = None) -> np.ndarray:
+    """First ``table`` row equal to each row of ``points`` by ``_first_rows``'s
+    rule, else an index >= len(table); with ``missing`` set, an error naming
+    the first point without a match.  Points of another dimension are
+    refused, even when there are none."""
+    if points.shape[1] != table.shape[1]:
+        raise ValueError(f"index dimension mismatch: {table.shape[1]} vs {points.shape[1]}")
+    n = table.shape[0]
+    idx = _first_rows(np.vstack([table, points]))[n:]
+    if missing is not None and np.any(idx >= n):
+        raise ValueError(f"point {points[np.argmax(idx >= n)].tolist()} {missing}")
+    return idx
 
 
 def coarray_apply(phi: CoArray, dataset: IndexedDataset) -> float:
@@ -507,9 +513,9 @@ def coarray_apply(phi: CoArray, dataset: IndexedDataset) -> float:
     if dataset.values is None:
         raise ValueError("dataset has no values to apply the co-array to")
     total = 0.0
-    for w, p in zip(phi.weights, phi.points):
-        idx = _locate(p, dataset.points, "not present in dataset")
-        total += float(w @ dataset.values[idx])
+    rows = _locate(phi.points, dataset.points, "not present in dataset")
+    for w, v in zip(phi.weights, dataset.values[rows]):
+        total += float(w @ v)
     return total
 
 

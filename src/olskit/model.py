@@ -204,7 +204,10 @@ def ols_estimate(est: OlsEstimator, y, project: bool = False) -> np.ndarray:
     in which case the data is first projected onto the support (the
     continuous extension choice).
     """
-    dy = as_vector(y, "data") - est.data_mean
+    y = as_vector(y, "data")
+    if y.size != est.p:
+        raise ValueError(f"data has {y.size} entries, the observation map has {est.p} rows")
+    dy = y - est.data_mean
     norm_dy = float(np.linalg.norm(dy))
     resid = float(np.linalg.norm(dy - est.p_range @ dy))
     threshold = est.model.tol.support_threshold(norm_dy)
@@ -290,6 +293,8 @@ def risk(est: OlsEstimator, gain_any, f, offset=None) -> RiskReport:
         resid_mean = np.zeros(model.n)
     else:
         c = as_vector(offset, "offset")
+        if c.size != model.n:
+            raise ValueError(f"offset has {c.size} entries, the model has {model.n}")
         resid_mean = resid_any @ model.mean - c
 
     k = model.cov
@@ -371,7 +376,7 @@ def gmt_compare(model: FiniteModel, obs, f, alternatives,
     rows = []
     if offsets is None:
         offsets = [None] * len(alternatives)
-    for gain_alt, off in zip(alternatives, offsets):
+    for gain_alt, off in zip(alternatives, offsets, strict=True):
         rep = risk(est, gain_alt, f, offset=off)
         gain_alt = as_matrix(gain_alt, "estimator matrix")
         diff = (gain_alt - est.gain).T @ f

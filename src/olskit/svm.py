@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import KernelSpec, _first_rows, _gram_gate, as_points, cross_kernel
+from .kernels import KernelSpec, _first_rows, _gram_gate, _locate, as_points, cross_kernel
 from .linalg import DEFAULT_TOL, Tolerance, _cholesky_certifies, check_psd
 
 
@@ -66,7 +66,7 @@ class SvmProblem:
             raise ValueError("both labeled sets must be nonempty")
         if p0.shape[1] != p1.shape[1]:
             raise ValueError("labeled sets have different index dimensions")
-        if np.any(_first_rows(np.vstack([p0, p1]))[p0.shape[0]:] < p0.shape[0]):
+        if np.any(_locate(p1, p0) < p0.shape[0]):
             raise ValueError("labeled sets must be disjoint")
         object.__setattr__(self, "d0", p0)
         object.__setattr__(self, "d1", p1)

@@ -98,7 +98,8 @@ def verify_uii(seed: int = 0) -> dict:
     forbidden = np.asarray(audit["forbidden_point"])
 
     def indicator(v):
-        return np.all(np.isclose(v, forbidden[None, :], atol=1e-12), axis=1).astype(float)
+        _, inverse = dis._atoms(np.vstack([v, forbidden]))
+        return (inverse[:-1] == inverse[-1]).astype(float)
 
     check = dis.disintegration_check(measure, obs, [("forbidden_atom", indicator)])
     violation = not check.rows[0].passed

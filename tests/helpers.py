@@ -290,6 +290,57 @@ def distinct_rows_last_tuples(points: np.ndarray) -> list[int]:
     return list({tuple(row): a for a, row in enumerate(points)}.values())
 
 
+def atom_table_tuples(probs, points) -> dict[tuple, float]:
+    """Mass per atom keyed by the point rounded to 12 decimals, in order of
+    first appearance; repeated atoms add up in row order."""
+    table: dict[tuple, float] = {}
+    for pr, pt in zip(probs, points):
+        key = tuple(np.round(pt, 12))
+        table[key] = table.get(key, 0.0) + float(pr)
+    return table
+
+
+def merged_atoms_tuples(probs, points) -> tuple[np.ndarray, np.ndarray]:
+    """Masses and points of ``atom_table_tuples``, atoms sorted as tuples."""
+    table = atom_table_tuples(probs, points)
+    keys = sorted(table)
+    return np.array([table[k] for k in keys]), np.array([list(k) for k in keys])
+
+
+def total_variation_tuples(a, b) -> float:
+    """Half the summed mass differences over the atoms of a, then b's new ones."""
+    ta, tb = atom_table_tuples(a.probs, a.points), atom_table_tuples(b.probs, b.points)
+    return 0.5 * sum(abs(ta.get(k, 0.0) - tb.get(k, 0.0)) for k in {**ta, **tb})
+
+
+def locate_scan(point, table: np.ndarray, missing: str) -> int:
+    """First row of ``table`` equal to one point, by a scan of every row."""
+    target = np.atleast_1d(np.asarray(point, dtype=float))
+    hits = np.flatnonzero(np.all(table == target[None, :], axis=1))
+    if hits.size == 0:
+        raise ValueError(f"point {target.tolist()} {missing}")
+    return int(hits[0])
+
+
+def transform_map_scan(design, targets: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The transform map built block by block, one ``locate_scan`` per target."""
+    q_out, q = w.shape
+    g = np.zeros((targets.shape[0] * q_out, design.n_points * q))
+    for row, point in enumerate(targets):
+        i = locate_scan(point, design.index_points, "is not a design point")
+        g[row * q_out:(row + 1) * q_out, i * q:(i + 1) * q] = w
+    return g
+
+
+def coarray_apply_scan(phi, dataset) -> float:
+    """sum_k w_k . a(i_k), left to right, one ``locate_scan`` per mass."""
+    total = 0.0
+    for w, p in zip(phi.weights, phi.points):
+        total += float(w @ dataset.values[locate_scan(p, dataset.points,
+                                                      "not present in dataset")])
+    return total
+
+
 def first_significant_positive(vecs: np.ndarray) -> np.ndarray:
     """Column loop: negate a column whose first entry above 1e-12 max(1, max|col|) is < 0."""
     out = vecs.copy()

@@ -10,7 +10,15 @@ from olskit.arrays import (
     restriction_map,
     transform_map,
 )
-from olskit.kernels import KernelSpec, cross_kernel, kernel_eval, gram
+from olskit.kernels import (
+    CoArray,
+    IndexedDataset,
+    KernelSpec,
+    coarray_apply,
+    cross_kernel,
+    gram,
+    kernel_eval,
+)
 from olskit.linalg import DEFAULT_TOL, NotPsdError, Tolerance, symmetrize
 from olskit.model import (
     FiniteModel,
@@ -21,7 +29,7 @@ from olskit.model import (
     operator_norm,
 )
 
-from helpers import first_rows_tuples
+from helpers import coarray_apply_scan, first_rows_tuples, transform_map_scan
 
 
 def grid_design(n=5, ell=0.5, q=1, b=None, family="se"):
@@ -166,6 +174,54 @@ class TestRowKeys:
                     ArrayDesign(pts, KernelSpec("se"))
 
 
+def lookup_cases():
+    """Seeded designs with d, q <= 2 on a coarse grid; targets and co-array
+    masses repeat points, a dataset repeats rows, and in half the cases the
+    zeros being looked up are -0.0."""
+    rng = np.random.default_rng(2829)
+    values = np.arange(-2, 3) * 0.5
+    for case in range(200):
+        d, q = 1 + case % 2, 1 + (case // 2) % 2
+        grid = np.stack(np.meshgrid(*[values] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        points = grid[rng.permutation(len(grid))[:int(rng.integers(1, 10))]]
+        design = ArrayDesign(points, KernelSpec("se", output_dim=q))
+        rows = points[rng.integers(0, len(points), int(rng.integers(1, 12)))]
+        dataset = IndexedDataset(rows, rng.standard_normal((len(rows), q)))
+        targets = points[rng.integers(0, len(points), int(rng.integers(0, 8)))]
+        masses = rows[rng.integers(0, len(rows), int(rng.integers(0, 8)))]
+        if case % 4 < 2:
+            targets[targets == 0.0] = -0.0
+            masses[masses == 0.0] = -0.0
+        w = rng.standard_normal((int(rng.integers(1, 3)), q))
+        phi = CoArray(rng.standard_normal((len(masses), q)), masses)
+        yield design, targets, w, dataset, phi
+
+
+class TestLookupMatchesScanOracle:
+    def test_transform_map_and_coarray_apply(self):
+        repeated_rows = 0
+        for design, targets, w, dataset, phi in lookup_cases():
+            got = transform_map(design, targets, w)
+            assert got.tobytes() == transform_map_scan(design, targets, w).tobytes()
+            assert repr(coarray_apply(phi, dataset)) == repr(coarray_apply_scan(phi, dataset))
+            repeated_rows += not np.array_equal(first_rows_tuples(dataset.points),
+                                                np.arange(len(dataset.points)))
+        assert repeated_rows > 0
+
+    def test_first_missing_point_is_named(self):
+        design = grid_design(n=3)
+        targets = np.array([[0.5], [0.31], [1.0], [0.77]])
+        with pytest.raises(ValueError) as want:
+            transform_map_scan(design, targets, np.eye(1))
+        with pytest.raises(ValueError) as got:
+            transform_map(design, targets, np.eye(1))
+        assert str(got.value) == str(want.value) == "point [0.31] is not a design point"
+        dataset = IndexedDataset(design.index_points, np.zeros((3, 1)))
+        phi = CoArray(np.ones((4, 1)), targets)
+        with pytest.raises(ValueError, match=r"^point \[0\.31\] not present in dataset$"):
+            coarray_apply(phi, dataset)
+
+
 class TestRestrictionMap:
     def test_full_subset_identity(self):
         design = grid_design(n=4)
@@ -247,6 +303,12 @@ class TestTransformMap:
         design = grid_design(n=3)
         with pytest.raises(ValueError, match="not a design point"):
             transform_map(design, [[0.31]], np.eye(1))
+
+    def test_refuses_a_point_of_another_dimension(self):
+        # the per-point scan broadcast the 1-d target onto (1, 1)
+        design = ArrayDesign([[1.0, 1.0], [2.0, 3.0]], KernelSpec("se"))
+        with pytest.raises(ValueError, match="index dimension mismatch: 2 vs 1"):
+            transform_map(design, [[1.0]], [[1.0]])
 
     def test_estimation_through_general_transform(self):
         # observe weighted combinations of vector values at re-indexed

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from olskit import arrays, cli, kernels, svm
+from olskit import arrays, cli, disintegration, kernels, svm
 from olskit.cli import (
     ConfigError,
     CsvError,
@@ -887,7 +887,7 @@ class TestOutputBytesUnderOracles:
             return wrapped
 
         monkeypatch.setattr(kernels, "_stationary_pass", counted(stationary_kernel_oracle))
-        for module in (kernels, arrays, cli, svm):
+        for module in (kernels, arrays, svm, disintegration):
             monkeypatch.setattr(module, "_first_rows", counted(first_rows_tuples))
         assert run_cli([*argv, "--out", tmp_path / "oracle"]) == 0
         assert set(calls) == {"stationary_kernel_oracle", "first_rows_tuples"}

@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from olskit import disintegration
 from olskit.disintegration import (
     DiscreteMeasure,
     conditional_gaussian,
     convolution_sample,
     default_test_functions,
     discrete_convolution,
+    discrete_ols,
     disintegration_check,
     residual_model,
     stochastic_ols_sample,
@@ -22,7 +24,12 @@ from olskit.kernels import KernelSpec
 from olskit.linalg import NumericalError, psd_factor
 from olskit.model import FiniteModel, ols_build, sample
 
-from helpers import mc_mean_cov, random_psd
+from helpers import (
+    mc_mean_cov,
+    merged_atoms_tuples,
+    random_psd,
+    total_variation_tuples,
+)
 
 RHO = 0.8
 RESIDUAL_IDENTITIES = (r"residual identities fail: \|R K - K R\^T\| = \S+, "
@@ -460,6 +467,59 @@ class TestUiiCounterexample:
         a, b = DiscreteMeasure(*a), DiscreteMeasure(*b)
         assert total_variation(a, b) == 0.0
         assert total_variation(b, a) == 0.0
+
+
+def atom_laws():
+    """Seeded laws of up to 8 rows in d <= 3 on a coarse grid: rows repeat,
+    some carry +-1e-13 offsets that round away (to -0.0 at zero), and some
+    masses are zero."""
+    rng = np.random.default_rng(2828)
+    for case in range(400):
+        d, k = 1 + case % 3, int(rng.integers(1, 9))
+        base = rng.integers(-2, 3, (int(rng.integers(1, k + 1)), d)) * 0.5
+        points = base[rng.integers(0, len(base), k)]
+        points = points + rng.choice([0.0, 1e-13, -1e-13], (k, d))
+        probs = rng.random(k)
+        probs[rng.random(k) < 0.2] = 0.0
+        probs[0] += probs.sum() == 0.0
+        yield rng, DiscreteMeasure(probs / probs.sum(), points)
+
+
+def same_bits(got: DiscreteMeasure, probs: np.ndarray, points: np.ndarray) -> bool:
+    return (got.points.shape == points.shape and got.probs.tobytes() == probs.tobytes()
+            and got.points.tobytes() == points.tobytes())
+
+
+class TestAtomsMatchTupleOracle:
+    def test_merge_and_convolution(self):
+        merged = signed_zeros = zero_masses = 0
+        for rng, m in atom_laws():
+            got = disintegration._merge_atoms(m.probs, m.points)
+            assert same_bits(got, *merged_atoms_tuples(m.probs, m.points))
+            merged += got.probs.size < m.probs.size
+            signed_zeros += bool(np.any(np.signbit(got.points) & (got.points == 0.0)))
+            zero_masses += bool(np.any(got.probs == 0.0))
+            # the enumeration written out: lifted atom i plus residual atom j
+            obs = rng.standard_normal((int(rng.integers(1, m.n + 1)), m.n))
+            est = discrete_ols(m, obs)
+            lifted = disintegration._lift(est, m.points)
+            pairs = (lifted[:, None, :] + (m.points - lifted)[None, :, :]).reshape(-1, m.n)
+            conv = discrete_convolution(m, obs)
+            assert same_bits(conv, *merged_atoms_tuples(np.outer(m.probs, m.probs).ravel(),
+                                                        pairs))
+        assert min(merged, signed_zeros, zero_masses) > 0
+
+    def test_total_variation_both_orders(self):
+        laws = [m for _, m in atom_laws()]
+        for a, b in zip(laws, laws[3:]):  # case and case + 3 share d
+            for x, y in ((a, b), (b, a), (a, discrete_convolution(a, np.eye(a.n)[:1]))):
+                assert repr(total_variation(x, y)) == repr(total_variation_tuples(x, y))
+
+    def test_total_variation_refuses_another_dimension(self):
+        a = DiscreteMeasure([1.0], [[1.0]])
+        b = DiscreteMeasure([1.0], [[1.0, 1.0]])
+        with pytest.raises(ValueError, match="index dimension mismatch: 1 vs 2"):
+            total_variation(a, b)
 
 
 class TestDiscreteMeasure:

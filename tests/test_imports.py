@@ -22,7 +22,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # second entry points to a capability that has one; each stays deleted
 DELETED = ("delta_norm", "svm_decision", "svm_classify", "psd_eigh", "ObservationMap",
-           "TransformSpec", "PsdSpectrum")
+           "TransformSpec", "PsdSpectrum", "_atom_key", "_atom_table")
 
 # the CLI hashes its inputs without OpenSSL wherever the interpreter has its
 # own SHA-256 module

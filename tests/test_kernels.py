@@ -526,6 +526,12 @@ class TestCoArrays:
         with pytest.raises(ValueError, match="not present"):
             coarray_apply(CoArray.dirac([2.0]), data)
 
+    def test_refuses_a_point_of_another_dimension(self):
+        # the per-point scan broadcast the 1-d mass onto (1, 1) and read 10
+        data = IndexedDataset([[1.0, 1.0], [2.0, 3.0]], [[10.0], [20.0]])
+        with pytest.raises(ValueError, match="index dimension mismatch: 2 vs 1"):
+            coarray_apply(CoArray.dirac([1.0]), data)
+
     def test_cov_dirac_is_kernel(self):
         spec = KernelSpec("matern32", lengthscale=0.6, variance=1.4)
         phi = CoArray.dirac([0.3])

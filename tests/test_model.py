@@ -227,6 +227,17 @@ class TestOlsEstimate:
         y = np.array([0.3, -1.0, 2.0])
         assert np.allclose(ols_estimate(est, y), y, atol=1e-10)
 
+    def test_data_of_another_length_is_refused(self):
+        # one datum used to broadcast to y = (1, 1) and (5, 5)
+        model, rng = make_model(9, 3)
+        est = ols_build(model, np.eye(3)[:2])
+        with pytest.raises(ValueError, match="data has 1 entries, the observation map has 2"):
+            ols_estimate(est, [1.0])
+        with pytest.raises(ValueError, match="data has 3 entries, the observation map has 2"):
+            ols_estimate(est, np.ones(3))
+        with pytest.raises(ValueError, match="data has 1 entries"):
+            conditional_gaussian(model, np.eye(3)[:2], [5.0])
+
     def test_hand_example(self):
         model = FiniteModel(np.zeros(2), HAND_K)
         est = ols_build(model, HAND_G)
@@ -339,6 +350,12 @@ class TestRisk:
         rep = risk(ols_build(model, np.eye(4)), np.eye(4), f)
         assert abs(rep.mse) < 1e-12
         assert abs(rep.estvar - f @ model.cov @ f) < 1e-10
+
+    def test_offset_of_another_length_is_refused(self):
+        model, rng = make_model(20, 4)
+        est = ols_build(model, rng.standard_normal((2, 4)))
+        with pytest.raises(ValueError, match="offset has 1 entries, the model has 4"):
+            risk(est, est.gain, rng.standard_normal(4), offset=[0.5])
 
     def test_oblique_identity_residual(self):
         model, rng = make_model(19, 6)
@@ -466,6 +483,15 @@ class TestGmtCompare:
         assert any(abs(r.bias) > 1e-3 for r in report.rows)
         assert report.mse_pass
         assert report.identity_pass
+
+    def test_offsets_pair_with_every_alternative(self):
+        # zip used to stop at the shorter list: five alternatives, one row
+        model, rng = make_model(29, 5)
+        g = rng.standard_normal((2, 5))
+        est = ols_build(model, g)
+        alts = [random_right_inverse(est, s) for s in range(5)]
+        with pytest.raises(ValueError, match="shorter"):
+            gmt_compare(model, g, rng.standard_normal(5), alts, offsets=[None])
 
     def test_estvar_inequality_counterexample(self):
         # The scalar estimated-variance comparison fails for this oblique
