@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelSpec, _first_rows, _gram_gate, _locate, as_points, gram
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, matrix_rank
+from .linalg import DEFAULT_TOL, Tolerance, as_int, as_matrix, matrix_rank
 from .model import FiniteModel, ols_build, ols_estimate
 
 
@@ -75,11 +75,10 @@ def _validate_subset(design: ArrayDesign, subset: Sequence[int]) -> list[int]:
     """Positions as ints; each a Python or numpy integer (not a bool) in range."""
     idx = []
     for i in subset:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise ValueError(f"subset index must be an integer, got {i!r}")
-        if not 0 <= i < design.n_points:
+        i = as_int(i, "subset index", 0)
+        if i >= design.n_points:
             raise ValueError(f"subset index {i} out of range [0, {design.n_points})")
-        idx.append(int(i))
+        idx.append(i)
     if len(set(idx)) != len(idx):
         raise ValueError("subset indices must be distinct")
     return idx

@@ -16,6 +16,11 @@ means bad input or an output that cannot be written.  A library warning,
 such as the SVM's on a Gram that no theorem certifies strictly PD, is
 printed to stderr as one ``warning: <message>`` line.
 
+The config layer names paths and owns no field rule: ``KernelSpec`` and
+``Tolerance`` default and check their own fields, and ``config_from_dict``
+refuses only what is about the file and puts ``kernel.`` or
+``tolerances.`` before the field's own message.
+
 Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
 across runs; wall time goes to stderr, never into the report.  All output
@@ -42,7 +47,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -56,7 +61,7 @@ from .kernels import (
     default_epsilon_grid,
     entropy_integral,
 )
-from .linalg import Tolerance
+from .linalg import Tolerance, as_int, as_number
 from .svm import SvmProblem, margin_check, decision_values, svm_train
 from .verify import VERIFY_TARGETS
 
@@ -291,16 +296,6 @@ def _sha256(path: str) -> str:
 # configuration
 # ---------------------------------------------------------------------------
 
-_KERNEL_DEFAULTS = {
-    "family": None,
-    "lengthscale": 1.0,
-    "variance": 1.0,
-    "output_dim": 1,
-    "coregionalization": None,
-    "degree": 2,
-    "support_radius": None,
-}
-
 _BLOCK_DEFAULTS = {
     "krige": {"project": False},
     "svm": {"tol": 1e-10, "max_iter": 200000},
@@ -338,6 +333,15 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}" if path else message)
 
 
+@contextlib.contextmanager
+def _field_errors(prefix: str = ""):
+    """Re-raise a field rule's ValueError as a ConfigError, its path under ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
+
+
 def _object(raw: dict, name: str) -> dict:
     """``raw[name]``, or ``{}`` when absent; a non-object block is bad input."""
     block = raw.get(name, {})
@@ -345,18 +349,20 @@ def _object(raw: dict, name: str) -> dict:
     return block
 
 
-def _as_number(value, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             path, f"expected a number, got {value!r}")
-    # exact for ints too, so an integer beyond the float range is refused
-    _require(abs(value) <= sys.float_info.max, path, f"must be finite, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, path: str, minimum: int) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool)
-             and value >= minimum, path, f"must be an integer >= {minimum}")
-    return value
+def _built(cls, raw: dict, name: str, noun: str) -> tuple:
+    """``cls`` built from the block ``raw[name]`` (a required field it omits
+    passed as None), and its echo: each field as ``cls`` stores it, but a
+    string or a list as given (a family's alias, a mixing matrix's rows)."""
+    block = _object(raw, name)
+    names = [f.name for f in fields(cls) if f.name != "eval_hook"]
+    for key in block:
+        _require(key in names, f"{name}.{key}", f"unknown {noun} field")
+    required = {f.name: None for f in fields(cls) if f.default is MISSING}
+    with _field_errors(f"{name}."):
+        built = cls(**{**required, **block})
+    echo = {key: getattr(built, key) for key in names}
+    echo.update((k, v) for k, v in block.items() if isinstance(v, (str, list)))
+    return built, echo
 
 
 def config_from_dict(raw: dict) -> Config:
@@ -366,42 +372,9 @@ def config_from_dict(raw: dict) -> Config:
         _require(key in known, key, "unknown configuration field")
 
     _require("kernel" in raw, "kernel", "required field is missing")
-    kernel = dict(_KERNEL_DEFAULTS)
-    for key, value in _object(raw, "kernel").items():
-        _require(key in kernel, f"kernel.{key}", "unknown kernel field")
-        kernel[key] = value
-    _require(isinstance(kernel["family"], str), "kernel.family",
-             "required string field")
-    kernel["lengthscale"] = _as_number(kernel["lengthscale"], "kernel.lengthscale")
-    _require(kernel["lengthscale"] > 0, "kernel.lengthscale", "must be > 0")
-    kernel["variance"] = _as_number(kernel["variance"], "kernel.variance")
-    _require(kernel["variance"] > 0, "kernel.variance", "must be > 0")
-    _as_int(kernel["output_dim"], "kernel.output_dim", 1)
-    _as_int(kernel["degree"], "kernel.degree", 1)
-    if kernel["support_radius"] is not None:
-        kernel["support_radius"] = _as_number(
-            kernel["support_radius"], "kernel.support_radius"
-        )
-        _require(kernel["support_radius"] > 0, "kernel.support_radius",
-                 "must be > 0")
-    if kernel["coregionalization"] is not None:
-        rows = kernel["coregionalization"]
-        _require(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
-                 "kernel.coregionalization", "must be a matrix (list of rows)")
-        for value in (v for row in rows for v in row):
-            _as_number(value, "kernel.coregionalization")
-
+    spec, kernel = _built(KernelSpec, raw, "kernel", "kernel")
+    tol, tolerances = _built(Tolerance, raw, "tolerances", "tolerance")
     _require("seed" in raw, "seed", "required field is missing")
-    _as_int(raw["seed"], "seed", 0)
-
-    tolerances = {"rcond": 1e-12, "abs_psd": 1e-10}
-    for key, value in _object(raw, "tolerances").items():
-        _require(key in tolerances, f"tolerances.{key}", "unknown tolerance field")
-        tolerances[key] = _as_number(value, f"tolerances.{key}")
-        _require(0 < tolerances[key] < 1, f"tolerances.{key}",
-                 "must lie strictly between 0 and 1")
-
-    samples = _as_int(raw.get("samples", 100000), "samples", 1)
 
     blocks = {}
     for name, defaults in _BLOCK_DEFAULTS.items():
@@ -410,19 +383,16 @@ def config_from_dict(raw: dict) -> Config:
             _require(key in defaults, f"{name}.{key}", "unknown field")
             block[key] = value
         blocks[name] = block
+    with _field_errors():
+        seed = as_int(raw["seed"], "seed", 0)
+        samples = as_int(raw.get("samples", 100000), "samples", 1)
+        svm_tol = as_number(blocks["svm"]["tol"], "svm.tol")
+        as_int(blocks["svm"]["max_iter"], "svm.max_iter", 1)
+        as_number(blocks["fuzzy"]["prior"], "fuzzy.prior")
+    _require(svm_tol > 0, "svm.tol", "must be > 0")
     _require(isinstance(blocks["krige"]["project"], bool), "krige.project",
              "must be true or false")
-    _require(_as_number(blocks["svm"]["tol"], "svm.tol") > 0, "svm.tol",
-             "must be > 0")
-    _as_int(blocks["svm"]["max_iter"], "svm.max_iter", 1)
-    _as_number(blocks["fuzzy"]["prior"], "fuzzy.prior")
-
-    try:
-        spec = KernelSpec(**kernel)
-        tol = Tolerance(**tolerances)
-    except ValueError as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
-    return Config(kernel=kernel, seed=raw["seed"], tolerances=tolerances,
+    return Config(kernel=kernel, seed=seed, tolerances=tolerances,
                   samples=samples, blocks=blocks, spec=spec, tol=tol)
 
 
@@ -708,7 +678,8 @@ def run(command: str, config: Config, inputs: dict, out_dir: str,
     Nothing is written unless the report serializes.  Returns (report, exit_code).
     """
     started = time.monotonic()
-    seed = config.seed if seed is None else _as_int(seed, "--seed", 0)
+    with _field_errors():
+        seed = config.seed if seed is None else as_int(seed, "--seed", 0)
     os.makedirs(out_dir, exist_ok=True)
 
     data = inputs.get("data")

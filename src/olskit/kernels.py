@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, PsdGate, Tolerance, _psd_floor, as_matrix, check_psd
+from .linalg import (DEFAULT_TOL, PsdGate, Tolerance, _psd_floor, as_int, as_matrix,
+                     as_number, check_psd)
 
 _STATIONARY = ("se", "matern12", "matern32", "matern52", "wendland")
 _DOT_PRODUCT = ("linear", "polynomial")
@@ -50,40 +51,46 @@ _FAMILY_ALIASES = {
 
 
 def as_points(points, name: str = "points") -> np.ndarray:
-    """Return index points as an (n, d) float array."""
+    """Return index points, or any rows given one per point, as a finite
+    (n, d) float array (``as_matrix``); a 1-d input is one column."""
     out = np.asarray(points, dtype=float)
-    if out.ndim == 1:
-        out = out[:, None]
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be an (n, d) array, got ndim={out.ndim}")
-    if out.size and not np.all(np.isfinite(out)):
-        raise ValueError(f"{name} contains non-finite coordinates")
-    return out
+    return as_matrix(out[:, None] if out.ndim == 1 else out, name)
+
+
+def _mixing_matrix(b, q: int) -> np.ndarray:
+    """``b`` as a q x q float array: rows of ``as_number`` entries, PSD."""
+    rows = b.tolist() if isinstance(b, np.ndarray) else b
+    if not (isinstance(rows, (list, tuple))
+            and all(isinstance(row, (list, tuple)) for row in rows)):
+        raise ValueError("coregionalization: must be a matrix (list of rows)")
+    rows = [[as_number(v, "coregionalization") for v in row] for row in rows]
+    if len(rows) != q or any(len(row) != q for row in rows):
+        raise ValueError("coregionalization: must be output_dim x output_dim")
+    return check_psd(np.array(rows), name="coregionalization").matrix
 
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
     """Parametrized covariance kernel.
 
-    Parameters
-    ----------
-    family : str
-        One of se, matern12, matern32, matern52, linear, polynomial,
-        wendland, custom (plus the spelled-out aliases).
-    lengthscale, variance : float
-        Positive scale hyperparameters.  ``variance`` multiplies the whole
-        block; ``lengthscale`` rescales distances (ignored by wendland,
-        which uses ``support_radius``).
-    output_dim : int
-        Value dimension q.
-    coregionalization : array or None
-        q x q PSD mixing matrix B; identity when omitted.
-    degree : int
-        Polynomial degree (polynomial family only).
-    support_radius : float or None
-        Compact support radius (wendland family only).
-    eval_hook : callable or None
-        ``hook(i, j) -> (q, q) block`` for the custom family.
+    ``family`` is se, matern12, matern32, matern52, linear, polynomial,
+    wendland or custom, or a spelled-out alias, in any case.  ``variance``
+    scales the whole q x q block (q = ``output_dim``) and ``lengthscale``
+    the distances; wendland uses ``support_radius`` instead and requires
+    it, only the polynomial family reads ``degree``, ``coregionalization``
+    is the mixing matrix B (identity when omitted), and the custom family
+    requires ``eval_hook(i, j) -> (q, q) block``.
+
+    The spec owns every rule on its fields, and the rules bind library
+    callers and the CLI's ``kernel`` block alike.  ``lengthscale``,
+    ``variance`` and a given ``support_radius`` pass ``as_number`` (a bool,
+    a string, NaN, an infinity or an integer beyond the float range is
+    refused), must be > 0 and are stored as floats; ``output_dim`` and
+    ``degree`` pass ``as_int`` with minimum 1; ``coregionalization`` is q
+    rows of q entries that pass ``as_number``, and ``check_psd``; a given
+    ``eval_hook`` is callable.  Every
+    ValueError begins with the field's name, as in ``lengthscale: must
+    be > 0``.
 
     Specs compare and hash by value: the mixing matrix by its entries, the
     hook not at all.
@@ -99,37 +106,30 @@ class KernelSpec:
     eval_hook: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        key = _FAMILY_ALIASES.get(str(self.family).lower())
+        if not isinstance(self.family, str):
+            raise ValueError("family: required string field")
+        key = _FAMILY_ALIASES.get(self.family.lower())
         if key is None:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            raise ValueError(f"family: unknown kernel family {self.family!r}")
         object.__setattr__(self, "family", key)
         for name in ("lengthscale", "variance", "support_radius"):
-            value = getattr(self, name)
-            if value is None and name == "support_radius":
+            if getattr(self, name) is None and name == "support_radius":
                 continue
-            if isinstance(value, (bool, np.bool_)) or not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            value = as_number(getattr(self, name), name)
+            if value <= 0.0:
+                raise ValueError(f"{name}: must be > 0")
+            object.__setattr__(self, name, value)
         for name in ("output_dim", "degree"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.output_dim < 1:
-            raise ValueError("output_dim must be >= 1")
-        if key == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
+            object.__setattr__(self, name, as_int(getattr(self, name), name, 1))
         if key == "wendland" and self.support_radius is None:
-            raise ValueError("wendland kernel requires support_radius > 0")
+            raise ValueError("support_radius: required by the wendland family")
         if key == "custom" and self.eval_hook is None:
-            raise ValueError("custom kernel requires an eval_hook")
+            raise ValueError("family: 'custom' requires an eval_hook")
+        if self.eval_hook is not None and not callable(self.eval_hook):
+            raise ValueError(f"eval_hook: must be callable, got {self.eval_hook!r}")
         if self.coregionalization is not None:
-            b = as_matrix(self.coregionalization, "coregionalization")
-            if b.shape != (self.output_dim, self.output_dim):
-                raise ValueError(
-                    "coregionalization must be output_dim x output_dim"
-                )
-            b = check_psd(b, name="coregionalization").matrix
-            object.__setattr__(self, "coregionalization", b)
+            object.__setattr__(self, "coregionalization",
+                               _mixing_matrix(self.coregionalization, self.output_dim))
 
     def _key(self) -> tuple:
         b = self.coregionalization
@@ -436,14 +436,10 @@ class CoArray:
     points: np.ndarray   # (k, d)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim == 1:
-            w = w[:, None]
+        w = as_points(self.weights, "coarray weights")
         p = as_points(self.points, "coarray points")
         if w.shape[0] != p.shape[0]:
             raise ValueError("weights and points must have equal length")
-        if w.size and not np.all(np.isfinite(w)):
-            raise ValueError("coarray weights contain non-finite entries")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "points", p)
 
@@ -464,13 +460,9 @@ class IndexedDataset:
         p = as_points(self.points, "dataset points")
         object.__setattr__(self, "points", p)
         if self.values is not None:
-            v = np.asarray(self.values, dtype=float)
-            if v.ndim == 1:
-                v = v[:, None]
+            v = as_points(self.values, "dataset values")
             if v.shape[0] != p.shape[0]:
                 raise ValueError("points and values must have equal length")
-            if v.size and not np.all(np.isfinite(v)):
-                raise ValueError("dataset values contain non-finite entries")
             object.__setattr__(self, "values", v)
 
 

@@ -35,6 +35,27 @@ class NumericalError(RuntimeError):
     """
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def as_number(value, name: str) -> float:
+    """``value`` as a finite float: a Python or numpy number, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    # a Python int compares exactly, so one beyond the float range is refused
+    if not abs(value if isinstance(value, int) else float(value)) <= _FLOAT_MAX:
+        raise ValueError(f"{name}: must be finite, got {value!r}")
+    return float(value)
+
+
+def as_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name}: must be an integer >= {minimum}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical cutoffs used throughout the package.
@@ -42,16 +63,21 @@ class Tolerance:
     rcond    : relative singular-value cutoff for rank decisions.
     abs_psd  : PSD slack: ``floor = abs_psd * max|K|`` bounds the asymmetry
                and lambda_min in ``check_psd`` and is ``psd_factor``'s cut.
+
+    Each passes ``as_number``, lies strictly between 0 and 1 and is stored
+    as a float, for library callers and the CLI's ``tolerances`` block alike;
+    every ValueError begins with the field's name.
     """
 
     rcond: float = 1e-12
     abs_psd: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rcond < 1.0):
-            raise ValueError(f"rcond must lie in (0, 1), got {self.rcond}")
-        if not (0.0 < self.abs_psd < 1.0):
-            raise ValueError(f"abs_psd must lie in (0, 1), got {self.abs_psd}")
+        for name in ("rcond", "abs_psd"):
+            value = as_number(getattr(self, name), name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name}: must lie strictly between 0 and 1")
+            object.__setattr__(self, name, value)
 
     def support_threshold(self, norm: float) -> float:
         """Residual allowed off an affine support for a vector of this norm,

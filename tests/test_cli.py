@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -178,6 +179,80 @@ class TestConfig:
         again = config_from_dict(json.loads(canonical_json(config.to_dict())))
         assert again == config
         assert canonical_json(again.to_dict()) == canonical_json(config.to_dict())
+
+
+class TestFieldPaths:
+    """The config layer names the path; every field rule is the object's."""
+
+    @pytest.mark.parametrize("kernel", [{}, {"family": None}, {"family": 3}],
+                             ids=["missing", "null", "number"])
+    def test_family_is_a_required_string(self, kernel):
+        with pytest.raises(ConfigError, match=r"^kernel\.family: required string field$"):
+            config_from_dict({"kernel": kernel, "seed": 0})
+
+    @pytest.mark.parametrize("block, key, noun", [
+        ("kernel", "colour", "kernel"), ("kernel", "eval_hook", "kernel"),
+        ("tolerances", "atol", "tolerance")])
+    def test_unknown_field_names_its_block(self, block, key, noun):
+        raw = {**MINIMAL, block: {**MINIMAL.get(block, {}), key: 1}}
+        with pytest.raises(ConfigError, match=rf"^{block}\.{key}: unknown {noun} field$"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("kernel, message", [
+        ({"family": "x"}, "kernel.family: unknown kernel family 'x'"),
+        ({"family": "wendland"}, "kernel.support_radius: required by the wendland family"),
+        ({"family": "custom"}, "kernel.family: 'custom' requires an eval_hook"),
+        ({"family": "se", "output_dim": 2, "coregionalization": [[1.0]]},
+         "kernel.coregionalization: must be output_dim x output_dim"),
+        ({"family": "se", "output_dim": 2, "coregionalization": [[1, 2], [2, 1]]},
+         "kernel.coregionalization is not PSD: "),
+    ], ids=["family", "wendland", "custom", "shape", "indefinite"])
+    def test_spec_errors_name_the_field(self, kernel, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            config_from_dict({"kernel": kernel, "seed": 0})
+
+
+SWEEP_VALUES = [True, np.True_, "1", None, float("nan"), float("inf"), -float("inf"),
+                0, -1, 2, 2.5, 10 ** 400]
+SWEEP_EXTRA = {
+    "family": ["mystery", 3],
+    "coregionalization": [[[True]], [[1, "2"]], [[1.0, None]], [[1.0], [1.0, 2.0]],
+                          [[1.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]], [[2.0, 1.0], [1.0, 1.0]]],
+}
+SWEEP_BASE = {"coregionalization": {"family": "se", "output_dim": 2},
+              "support_radius": {"family": "wendland"}}
+
+
+def _sweep_cases():
+    for block, cls in (("kernel", KernelSpec), ("tolerances", Tolerance)):
+        for field in dataclasses.fields(cls):
+            if field.name == "eval_hook":
+                continue
+            base = SWEEP_BASE.get(field.name, {"family": "se"} if block == "kernel" else {})
+            for k, value in enumerate(SWEEP_VALUES + SWEEP_EXTRA.get(field.name, [])):
+                yield pytest.param(block, cls, {**base, field.name: value},
+                                   id=f"{block}.{field.name}-{k}")
+
+
+class TestConfigAgreesWithObjects:
+    """``config_from_dict`` refuses a kernel or tolerance block exactly when
+    ``KernelSpec`` or ``Tolerance`` refuses its fields, with their message."""
+
+    @pytest.mark.parametrize("block, cls, fields", _sweep_cases())
+    def test_agreement(self, block, cls, fields):
+        try:
+            cls(**fields)
+        except ValueError as exc:
+            expected = f"{block}.{exc}"
+        else:
+            expected = None
+        raw = {**MINIMAL, block: fields}
+        if expected is None:
+            config_from_dict(raw)
+        else:
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(raw)
+            assert str(err.value) == expected
 
 
 class TestLoadCsv:

@@ -22,7 +22,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # second entry points to a capability that has one; each stays deleted
 DELETED = ("delta_norm", "svm_decision", "svm_classify", "psd_eigh", "ObservationMap",
-           "TransformSpec", "PsdSpectrum", "_atom_key", "_atom_table")
+           "TransformSpec", "PsdSpectrum", "_atom_key", "_atom_table", "_KERNEL_DEFAULTS",
+           "_as_number", "_as_int")
 
 # the CLI hashes its inputs without OpenSSL wherever the interpreter has its
 # own SHA-256 module

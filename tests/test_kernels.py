@@ -102,25 +102,63 @@ class TestKernelEval:
         with pytest.raises(ValueError, match="output_dim"):
             KernelSpec("se", output_dim=2, coregionalization=[[1.0]])
 
+    # each case keeps the id it has always had: its index and what it checks
     @pytest.mark.parametrize("kwargs, message", [
-        ({"family": "polynomial", "degree": 1.5}, "degree must be an integer"),
-        ({"family": "polynomial", "degree": True}, "degree must be an integer"),
-        ({"family": "se", "output_dim": 2.5}, "output_dim must be an integer"),
-        ({"family": "se", "output_dim": True}, "output_dim must be an integer"),
-        ({"family": "se", "lengthscale": np.inf}, "lengthscale must be finite"),
-        ({"family": "se", "variance": np.inf}, "variance must be finite"),
-        ({"family": "wendland", "support_radius": np.inf}, "support_radius must be finite"),
-        ({"family": "se", "lengthscale": True}, "lengthscale .*, got True"),
-        ({"family": "se", "lengthscale": np.True_}, "lengthscale .*, got (np.)?True"),
-        ({"family": "se", "variance": True}, "variance .*, got True"),
-        ({"family": "se", "variance": np.True_}, "variance .*, got (np.)?True"),
-        ({"family": "wendland", "support_radius": True}, "support_radius .*, got True"),
-        ({"family": "wendland", "support_radius": np.True_},
-         "support_radius .*, got (np.)?True"),
-    ])
+        pytest.param(kwargs, message, id=f"kwargs{k}-{name}")
+        for k, (kwargs, message, name) in enumerate([
+            ({"family": "polynomial", "degree": 1.5},
+             "^degree: must be an integer >= 1$", "degree must be an integer"),
+            ({"family": "polynomial", "degree": True},
+             "^degree: must be an integer >= 1$", "degree must be an integer"),
+            ({"family": "se", "output_dim": 2.5},
+             "^output_dim: must be an integer >= 1$", "output_dim must be an integer"),
+            ({"family": "se", "output_dim": True},
+             "^output_dim: must be an integer >= 1$", "output_dim must be an integer"),
+            ({"family": "se", "lengthscale": np.inf},
+             "^lengthscale: must be finite, got inf$", "lengthscale must be finite"),
+            ({"family": "se", "variance": np.inf},
+             "^variance: must be finite, got inf$", "variance must be finite"),
+            ({"family": "wendland", "support_radius": np.inf},
+             "^support_radius: must be finite, got inf$", "support_radius must be finite"),
+            ({"family": "se", "lengthscale": True},
+             "^lengthscale: expected a number, got True$", "lengthscale .*, got True"),
+            ({"family": "se", "lengthscale": np.True_},
+             "^lengthscale: expected a number, got (np.True_|True)$", "lengthscale .*, got (np.)?True"),
+            ({"family": "se", "variance": True},
+             "^variance: expected a number, got True$", "variance .*, got True"),
+            ({"family": "se", "variance": np.True_},
+             "^variance: expected a number, got (np.True_|True)$", "variance .*, got (np.)?True"),
+            ({"family": "wendland", "support_radius": True},
+             "^support_radius: expected a number, got True$", "support_radius .*, got True"),
+            ({"family": "wendland", "support_radius": np.True_},
+             "^support_radius: expected a number, got (np.True_|True)$", "support_radius .*, got (np.)?True"),
+        ])])
     def test_non_integer_or_infinite_hyperparameters(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             KernelSpec(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lengthscale": 10 ** 400}, "^lengthscale: must be finite, got 1000"),
+        ({"lengthscale": "1"}, "^lengthscale: expected a number, got '1'$"),
+        ({"coregionalization": [[True]]}, "^coregionalization: expected a number, got True$"),
+        ({"coregionalization": np.array([[True]])},
+         "^coregionalization: expected a number, got True$"),
+        ({"degree": 0}, "^degree: must be an integer >= 1$"),
+        ({"eval_hook": 1}, "^eval_hook: must be callable, got 1$"),
+    ], ids=["huge-lengthscale", "string-lengthscale", "bool-mixing", "bool-array-mixing",
+            "zero-degree", "hook-not-callable"])
+    def test_field_errors_name_the_field(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            KernelSpec("se", **kwargs)
+
+    def test_numbers_are_stored_as_floats(self):
+        spec = KernelSpec("wendland", lengthscale=2, variance=np.int64(3),
+                          support_radius=np.float32(0.5),
+                          coregionalization=np.array([[2]]))
+        assert (spec.lengthscale, spec.variance, spec.support_radius) == (2.0, 3.0, 0.5)
+        assert {type(v) for v in (spec.lengthscale, spec.variance, spec.support_radius)} == {
+            float}
+        assert spec.coregionalization.dtype == float
 
     def test_numpy_integers_accepted(self):
         spec = KernelSpec("polynomial", degree=np.int64(3), output_dim=np.int32(2))

@@ -6,6 +6,8 @@ from olskit.linalg import (
     NotPsdError,
     Tolerance,
     _fix_eigvec_signs,
+    as_int,
+    as_number,
     check_psd,
     pinv,
     psd_factor,
@@ -239,3 +241,43 @@ class TestTolerance:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             Tolerance(**bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"rcond": "0.1"}, "^rcond: expected a number, got '0.1'$"),
+        ({"abs_psd": True}, "^abs_psd: expected a number, got True$"),
+        ({"rcond": float("nan")}, "^rcond: must be finite, got nan$"),
+        ({"abs_psd": 1}, "^abs_psd: must lie strictly between 0 and 1$"),
+    ], ids=["string", "bool", "nan", "one"])
+    def test_errors_name_the_field(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            Tolerance(**bad)
+
+    def test_stored_as_floats(self):
+        tol = Tolerance(rcond=np.float32(0.5), abs_psd=np.float64(1e-9))
+        assert type(tol.rcond) is float and type(tol.abs_psd) is float
+
+
+class TestNumberValidators:
+    @pytest.mark.parametrize("value", [0, -2, 2.5, np.int64(7), np.float32(0.25),
+                                       1e308, -(10 ** 300)])
+    def test_number_accepted_as_float(self, value):
+        out = as_number(value, "x")
+        assert type(out) is float and out == float(value)
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "expected a number, got True"), (np.True_, "expected a number, got "),
+        ("1", "expected a number, got '1'"), (None, "expected a number, got None"),
+        ([1.0], "expected a number, got \\[1.0\\]"), (float("nan"), "must be finite, got nan"),
+        (float("inf"), "must be finite, got inf"), (-float("inf"), "must be finite, got -inf"),
+        (10 ** 400, "must be finite, got 1000"),
+    ], ids=["bool", "numpy-bool", "string", "none", "list", "nan", "inf", "-inf", "huge"])
+    def test_number_refused(self, value, message):
+        with pytest.raises(ValueError, match="^x: " + message):
+            as_number(value, "x")
+
+    def test_integer(self):
+        assert as_int(3, "n", 1) == 3 and type(as_int(np.int32(3), "n", 1)) is int
+        assert as_int(0, "n", 0) == 0
+        for value in (0, -1, True, np.True_, 2.0, 1.5, "2", None):
+            with pytest.raises(ValueError, match="^n: must be an integer >= 1$"):
+                as_int(value, "n", 1)
