@@ -3,7 +3,8 @@
 Builds a squared-exponential design over a grid, observes three points,
 and prints the best linear unbiased prediction next to the direct
 Gram-solve formula K_*D (K_DD)^{-1} y to show they coincide, plus the
-integrated-entropy figure the package reports alongside predictions.
+observed block's rank and the integrated-entropy figure the package
+reports alongside predictions.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ for x, pred, ref in zip(grid[:, 0], result.values[:, 0], direct):
 
 repro = np.abs(result.values[observed, 0] - y).max()
 print(f"\nobserved values reproduced to {repro:.2e}")
-print(f"jitter used: {result.jitter}")
+print(f"rank of the observed block: {result.rank} of {len(observed)}")
 
 eps = default_epsilon_grid(spec, grid)
 print(f"integrated entropy of the design: {entropy_integral(spec, grid, eps):.4f}")

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelSpec, _first_rows, _gram_gate, _locate, as_points, gram
-from .linalg import DEFAULT_TOL, Tolerance, as_int, as_matrix, matrix_rank
+from .linalg import DEFAULT_TOL, Tolerance, as_int, as_matrix, as_number, matrix_rank
 from .model import FiniteModel, ols_build, ols_estimate
 
 
@@ -121,26 +121,26 @@ def transform_map(design: ArrayDesign, target_points, value_map) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KrigeResult:
-    """Predicted array with the solve diagnostics."""
+    """Predicted array and the rank of the observed block."""
 
     values: np.ndarray          # (n_points, q)
-    jitter: float
+    rank: int                   # directions of S = G K G^T the pseudoinverse keeps
 
 
 def krige(design: ArrayDesign, observed: Sequence[int], values,
           project: bool = False) -> KrigeResult:
     """Best linear unbiased prediction of the whole array from a subset.
 
-    ``values`` holds one length-q observation per observed index.  A jitter
-    of 1e-10 * variance, recorded in the result, is added to the observed
-    block S only when S passes the rank test (singular values above
-    rcond * p * sigma_max) yet has condition number above 1e12.  The rank
-    test bounds cond(S) below 1 / (rcond * p), so the jitter fires only at
-    ``design.tol.rcond`` below 1e-12 / p, never at the default 1e-12, and
-    then predictions at observed points no longer reproduce the data.
+    ``values`` holds one length-q observation per observed index.  The
+    prediction is the least-squares estimator (``ols_build`` then
+    ``ols_estimate``) through the restriction map, so it reproduces data on
+    the support exactly at every tolerance.  ``rank`` is the rank of the
+    observed block S = G K G^T at ``design.tol``, the number of directions
+    S's pseudoinverse keeps: len(observed) * q for a numerically full-rank
+    block.
     """
     idx = _validate_subset(design, observed)
-    y = np.asarray(values, dtype=float)
+    y = np.asarray(values)
     if y.ndim == 1 and design.q == 1:
         y = y[:, None]
     if y.shape != (len(idx), design.q):
@@ -148,25 +148,11 @@ def krige(design: ArrayDesign, observed: Sequence[int], values,
             f"values must have shape ({len(idx)}, {design.q}), got {y.shape}"
         )
     model = model_from_design(design)
-    obs = restriction_map(design, idx)
-    jitter = 0.0
-    if len(idx):
-        # jitter only rescues blocks that are full rank at tolerance yet
-        # ill conditioned; rank-deficient blocks keep the pseudoinverse
-        # truncation so inconsistent data still raises a support violation
-        cols = _value_columns(design, idx)
-        s = model.cov[np.ix_(cols, cols)]  # G K G^T, read by index
-        w = np.linalg.eigvalsh(s)  # s is exactly symmetric, as K is
-        if matrix_rank(s, design.tol) == s.shape[0] and (
-            w[0] <= 0.0 or w[-1] / w[0] > 1e12
-        ):
-            jitter = 1e-10 * design.kernel.variance
-    est = ols_build(model, obs, ridge=jitter)
+    cols = _value_columns(design, idx)
+    rank = matrix_rank(model.cov[np.ix_(cols, cols)], design.tol)  # S, read by index
+    est = ols_build(model, restriction_map(design, idx))
     predicted = ols_estimate(est, y.ravel(), project=project)
-    return KrigeResult(
-        values=predicted.reshape(design.n_points, design.q),
-        jitter=jitter,
-    )
+    return KrigeResult(values=predicted.reshape(design.n_points, design.q), rank=rank)
 
 
 def fuzzy_classify(design: ArrayDesign, d0: Sequence[int], d1: Sequence[int],
@@ -189,7 +175,7 @@ def fuzzy_classify(design: ArrayDesign, d0: Sequence[int], d1: Sequence[int],
     flat = ArrayDesign(
         design.index_points,
         design.kernel,
-        mean=np.full((design.n_points, 1), prior),
+        mean=np.full((design.n_points, 1), as_number(prior, "prior")),
         tol=design.tol,
     )
     observed = i0 + i1

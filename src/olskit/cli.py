@@ -76,7 +76,7 @@ except ImportError:
     except ImportError:  # built without its own SHA-2 modules
         from hashlib import sha256 as _new_sha256
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -528,7 +528,7 @@ def _run_krige(config: Config, data: IndexedDataset, query: IndexedDataset,
     metrics = {
         "n_design_points": int(points.shape[0]),
         "n_observed": int(len(observed_idx)),
-        "jitter": result.jitter,
+        "observed_rank": result.rank,
         "reproduction_max_error": reproduction,
     }
     if ent_grid is not None:
@@ -553,8 +553,7 @@ def _run_classify_svm(config: Config, data: IndexedDataset, query: IndexedDatase
     d0, d1 = _split_labels(data)
     problem = SvmProblem(config.spec, d0, d1, tol=config.tol)
     block = config.blocks["svm"]
-    model = svm_train(problem, tol=float(block["tol"]),
-                      max_iter=block["max_iter"])
+    model = svm_train(problem, tol=block["tol"], max_iter=block["max_iter"])
     audit = margin_check(model, problem)
     g_train = np.concatenate([audit.decision_0, audit.decision_1])
     want = np.concatenate([np.zeros(len(d0)), np.ones(len(d1))])
@@ -596,8 +595,7 @@ def _run_classify_fuzzy(config: Config, data: IndexedDataset, query: IndexedData
     points = design.index_points
     idx0 = observed_idx[: len(d0)]
     idx1 = observed_idx[len(d0):]
-    lam = fuzzy_classify(design, idx0, idx1,
-                         prior=float(config.blocks["fuzzy"]["prior"]))
+    lam = fuzzy_classify(design, idx0, idx1, prior=config.blocks["fuzzy"]["prior"])
     reproduction = max(
         float(np.abs(lam[idx0]).max()),
         float(np.abs(lam[idx1] - 1.0).max()),

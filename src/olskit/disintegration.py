@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _first_rows
-from .linalg import NumericalError, as_matrix, as_vector, symmetrize
+from .linalg import NumericalError, as_int, as_matrix, as_vector, symmetrize
 from .model import (
     FiniteModel,
     _derived_model,
@@ -189,7 +189,7 @@ def convolution_sample(est: OlsEstimator, seed: int, n_samples: int) -> np.ndarr
     stream of 2 n_samples rows, so results are reproducible for a given
     seed.
     """
-    return _convolution(est, sample(est.model, seed, 2 * int(n_samples)))
+    return _convolution(est, sample(est.model, seed, 2 * as_int(n_samples, "n_samples", 0)))
 
 
 def default_test_functions(n: int, seed: int = 0, n_random: int = 5):
@@ -274,7 +274,7 @@ def disintegration_check(measure, obs, test_functions=None, seed: int = 0,
     if isinstance(measure, DiscreteMeasure) and (
             measure.probs.size ** 2 <= _MAX_ENUMERATED_ATOMS):
         return _disintegration_check_discrete(measure, obs, test_functions)
-    n = int(n_samples)
+    n = as_int(n_samples, "n_samples", 0)
     if n < 2:  # the Monte Carlo bound takes a sample standard deviation
         raise ValueError(f"n_samples must be at least 2 for a Monte Carlo check, got {n}")
     if isinstance(measure, DiscreteMeasure):

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, PsdGate, Tolerance, _psd_floor, as_int, as_matrix,
-                     as_number, check_psd)
+                     as_number, as_vector, check_psd)
 
 _STATIONARY = ("se", "matern12", "matern32", "matern52", "wendland")
 _DOT_PRODUCT = ("linear", "polynomial")
@@ -53,7 +53,7 @@ _FAMILY_ALIASES = {
 def as_points(points, name: str = "points") -> np.ndarray:
     """Return index points, or any rows given one per point, as a finite
     (n, d) float array (``as_matrix``); a 1-d input is one column."""
-    out = np.asarray(points, dtype=float)
+    out = np.asarray(points)
     return as_matrix(out[:, None] if out.ndim == 1 else out, name)
 
 
@@ -334,8 +334,8 @@ def scalar_kernel(spec: KernelSpec, x, y) -> np.ndarray:
 
 def kernel_eval(spec: KernelSpec, i, j) -> np.ndarray:
     """Covariance block c(i, j) of shape (q, q)."""
-    i = np.atleast_1d(np.asarray(i, dtype=float))
-    j = np.atleast_1d(np.asarray(j, dtype=float))
+    i = as_vector(np.atleast_1d(i), "i")
+    j = as_vector(np.atleast_1d(j), "j")
     if i.shape != j.shape:
         raise ValueError(f"index dimension mismatch: {i.shape} vs {j.shape}")
     if spec.family == "custom":
@@ -445,8 +445,7 @@ class CoArray:
 
     @staticmethod
     def dirac(point, covalue=1.0) -> "CoArray":
-        cov = np.atleast_1d(np.asarray(covalue, dtype=float))
-        return CoArray(cov[None, :], np.atleast_1d(np.asarray(point, float))[None, :])
+        return CoArray(np.atleast_1d(covalue)[None, :], np.atleast_1d(point)[None, :])
 
 
 @dataclass(frozen=True, eq=False)

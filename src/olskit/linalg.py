@@ -88,9 +88,18 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _numbers(a, name: str) -> np.ndarray:
+    """``a`` as a float array, refusing the entries ``as_number`` refuses by
+    type: a bool, string or object (non-number) array."""
+    out = np.asarray(a)
+    if out.dtype.kind not in "iuf":
+        raise ValueError(f"{name}: expected numbers, got dtype {out.dtype}")
+    return out.astype(float, copy=False)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-d float array."""
-    out = np.asarray(a, dtype=float)
+    """Validate and return a finite 2-d float array (``_numbers``)."""
+    out = _numbers(a, name)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={out.ndim}")
     if out.size and not np.all(np.isfinite(out)):
@@ -99,8 +108,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate and return a finite 1-d float array."""
-    out = np.asarray(v, dtype=float)
+    """Validate and return a finite 1-d float array (``_numbers``)."""
+    out = _numbers(v, name)
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got ndim={out.ndim}")
     if out.size and not np.all(np.isfinite(out)):

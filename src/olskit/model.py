@@ -25,6 +25,7 @@ from .linalg import (
     PsdGate,
     Tolerance,
     _svd_cutoff,
+    as_int,
     as_matrix,
     as_vector,
     check_psd,
@@ -150,11 +151,8 @@ def _selected_columns(g: np.ndarray) -> np.ndarray | None:
     return cols if np.all(g[np.arange(p), cols] == 1.0) else None
 
 
-def ols_build(model: FiniteModel, obs, ridge: float = 0.0) -> OlsEstimator:
+def ols_build(model: FiniteModel, obs) -> OlsEstimator:
     """Assemble the least-squares estimator matrices.
-
-    ``ridge`` adds a multiple of the identity to S = G K G^T before the
-    pseudoinverse; kriging uses it for ill-conditioned observed blocks.
 
     A selection map (one 1.0 per row, in distinct columns, as
     ``restriction_map`` builds) is applied by index: K G^T is the column
@@ -175,8 +173,6 @@ def ols_build(model: FiniteModel, obs, ridge: float = 0.0) -> OlsEstimator:
         kg = model.cov.take(cols, axis=1)
         s = kg[cols]  # exactly symmetric, as K is
         data_mean = model.mean[cols]
-    if ridge:
-        s = s + ridge * np.eye(s.shape[0])
     gain = kg @ pinv(s, model.tol)
     p_range = range_projector(s, model.tol)
     if cols is None:
@@ -202,8 +198,10 @@ def ols_estimate(est: OlsEstimator, y, project: bool = False) -> np.ndarray:
 
     Off-support data raises SupportViolationError unless ``project=True``,
     in which case the data is first projected onto the support (the
-    continuous extension choice).
+    continuous extension choice).  ``project`` must be a bool.
     """
+    if not isinstance(project, (bool, np.bool_)):
+        raise ValueError(f"project: must be True or False, got {project!r}")
     y = as_vector(y, "data")
     if y.size != est.p:
         raise ValueError(f"data has {y.size} entries, the observation map has {est.p} rows")
@@ -226,11 +224,12 @@ def sample(model: FiniteModel, seed: int, n_samples: int) -> np.ndarray:
     """Draw seeded Gaussian samples, one per row.
 
     Samples are m + F z with F the deterministic PSD factor of K, so every
-    draw lies on the affine support m + range(K).
+    draw lies on the affine support m + range(K).  ``seed`` and
+    ``n_samples`` are integers >= 0 (``as_int``).
     """
     f = psd_factor(model.cov, model.tol)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(n_samples), model.n))
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
+    z = rng.standard_normal((as_int(n_samples, "n_samples", 0), model.n))
     return model.mean[None, :] + z @ f.T
 
 

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import KernelSpec, _first_rows, _gram_gate, _locate, as_points, cross_kernel
-from .linalg import DEFAULT_TOL, Tolerance, _cholesky_certifies, check_psd
+from .linalg import DEFAULT_TOL, Tolerance, _cholesky_certifies, as_int, as_number, check_psd
 
 
 class SeparationError(RuntimeError):
@@ -162,10 +162,15 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
     ``init_seed=None`` starts at the vertex of the first point of each
     class; a seed picks a random vertex, which the uniqueness of the
     separation vector makes inconsequential for the trained classifier.
-    ``max_iter`` and ``n_iter`` count support solves.  Pass a list as
+    ``max_iter`` (an integer >= 1) and ``n_iter`` count support solves, and
+    ``tol`` must be a number > 0, else ValueError.  Pass a list as
     ``trace`` to collect the objective value at the start and after every
     solve.
     """
+    tol = as_number(tol, "tol")
+    if tol <= 0.0:
+        raise ValueError("tol: must be > 0")
+    max_iter = as_int(max_iter, "max_iter", 1)
     # weights x = [nu1; nu0] and scores r = Q x
     q = problem.signed_gram
     n1, n = problem.d1.shape[0], q.shape[0]

@@ -183,19 +183,16 @@ def nearest_point_gap(k11: np.ndarray, k10: np.ndarray, k00: np.ndarray,
     return float(2.0 * ((nu1 @ p1 - p1.min()) + (p0.max() - nu0 @ p0)))
 
 
-def ols_build_dense(cov: np.ndarray, mean: np.ndarray, g: np.ndarray,
-                    ridge: float = 0.0) -> dict:
+def ols_build_dense(cov: np.ndarray, mean: np.ndarray, g: np.ndarray) -> dict:
     """Least-squares estimator matrices from dense products with any G.
 
-    B = K G^T (S + ridge I)^+ with S the symmetrized G K G^T, through the
+    B = K G^T S^+ with S the symmetrized G K G^T, through the
     package's own pinv and range projector, so a map applied by index must
     agree bit for bit.
     """
     from olskit.linalg import pinv, range_projector, symmetrize
 
     s = symmetrize(g @ cov @ g.T)
-    if ridge:
-        s = s + ridge * np.eye(s.shape[0])
     gain = cov @ g.T @ pinv(s)
     lift = gain @ g
     return {"gain": gain, "p_range": range_projector(s), "lift": lift,

@@ -413,16 +413,31 @@ class TestKrige:
         result = krige(design, [0, 1], np.array([1.0, 5.0]), project=True)
         assert np.all(np.isfinite(result.values))
 
+    def test_project_must_be_a_bool(self):
+        # a truthy string used to project the off-support data
+        design = ArrayDesign([[1.0], [2.0], [3.0]], KernelSpec("linear"))
+        with pytest.raises(ValueError, match="^project: must be True or False"):
+            krige(design, [0, 1], np.array([1.0, 5.0]), project="no")
+
+    def test_values_must_be_numbers(self):
+        # the string used to be read as 1.5
+        design = ArrayDesign([[0.0], [1.0]], KernelSpec("se"))
+        with pytest.raises(ValueError, match="^data: expected numbers"):
+            krige(design, [0], ["1.5"])
+        with pytest.raises(ValueError, match="^data: expected numbers"):
+            krige(design, [0, 1], [True, False])
+
     def test_near_duplicate_points_keep_support_semantics(self):
-        # a numerically rank-deficient observed block is truncated, not
-        # jittered: consistent data still krige, inconsistent data raise
+        # a numerically rank-deficient observed block is truncated: nine SE
+        # points on [0, 1] keep 7 singular values above the rank cut, data on
+        # that range still krige and data off it raise
         pts = np.concatenate([np.linspace(0, 1, 8), [0.5 + 1e-12]])[:, None]
         design = ArrayDesign(pts, KernelSpec("se", lengthscale=1.0))
         ok = krige(design, list(range(9)), np.zeros(9))
-        assert ok.jitter == 0.0
+        assert ok.rank == 7
         assert np.abs(ok.values).max() < 1e-10
         bad = np.zeros(9)
-        bad[8] = 1.0  # contradicts the value at the twin point 0.5
+        bad[8] = 1.0  # off the range of the truncated block
         with pytest.raises(SupportViolationError):
             krige(design, list(range(9)), bad)
 
@@ -459,15 +474,23 @@ JITTER_FAMILIES = [
 
 
 class TestJitter:
+    """``krige`` once solved with S + 1e-10 * variance * I when the observed
+    block S passed the rank test yet had cond(S) > 1e12.  The rank test
+    bounds cond(S) below 1 / (rcond p), so that jitter never fired at the
+    default rcond and broke reproduction below it; kriging is now the
+    least-squares estimator alone, and these tests pin the rank it reports."""
+
     @pytest.mark.parametrize("spec", JITTER_FAMILIES, ids=lambda spec: spec.family)
     def test_never_fires_at_the_default_rcond(self, spec):
-        # A block that passes the rank test has cond(S) < 1 / (rcond p), which
-        # is below the 1e12 trigger at rcond = 1e-12.  Three observed points,
-        # two of them a distance h apart, sweep cond(S) from O(1) past the cut.
+        # Three observed points, two of them a distance h apart, sweep cond(S)
+        # from O(1) past the cut 1 / (rcond p).  The reported rank counts
+        # numpy's singular values of the observed Gram above rcond p sigma_max;
+        # the Gram of the three points alone may round differently, so a
+        # count may differ only where a singular value lies at the cut.
         rng = np.random.default_rng(31)
         p = 3
         cut = 1.0 / (DEFAULT_TOL.rcond * p)
-        conds = []
+        conds, ranks = [], set()
         for _ in range(80):
             pts = rng.uniform(0.0, 2.0, (8, 3))
             direction = rng.standard_normal(3)
@@ -475,24 +498,27 @@ class TestJitter:
             pts[1] = pts[0] + h * direction / np.linalg.norm(direction)
             result = krige(ArrayDesign(pts, spec), [0, 1, 2], rng.standard_normal(p),
                            project=True)
-            assert result.jitter == 0.0
             sv = np.linalg.svd(gram(spec, pts[:p]), compute_uv=False)
-            if sv[-1] > DEFAULT_TOL.rcond * p * sv[0]:
+            threshold = DEFAULT_TOL.rcond * p * sv[0]
+            if result.rank != np.count_nonzero(sv > threshold):
+                assert np.abs(sv - threshold).min() <= 1e-8 * threshold
+            ranks.add(result.rank)
+            if sv[-1] > threshold:
                 conds.append(sv[0] / sv[-1])
         assert max(conds) < cut
         assert max(conds) > cut / 10.0  # the sweep reaches the rank cut
+        assert p in ranks and min(ranks) < p  # and both sides of it
 
-    def test_fires_below_the_default_rcond_and_breaks_reproduction(self):
-        # SE points 0 and 1e-6: cond(S) is about 2e12, full rank at rcond 1e-16
+    def test_reproduces_data_below_the_default_rcond(self):
+        # SE points 0 and 1e-6: cond(S) is about 2e12, so S has rank 1 at the
+        # default rcond and rank 2 at rcond 1e-16; both reproduce the data
         pts = [[0.0], [1e-6]]
         y = np.ones(2)
-        exact = krige(ArrayDesign(pts, KernelSpec("se")), [0, 1], y)
-        assert exact.jitter == 0.0
-        assert np.abs(exact.values[:, 0] - y).max() < 1e-12
-        design = ArrayDesign(pts, KernelSpec("se"), tol=Tolerance(rcond=1e-16))
-        jittered = krige(design, [0, 1], y)
-        assert jittered.jitter == 1e-10
-        assert np.abs(jittered.values[:, 0] - y).max() > 1e-8
+        for rcond, rank in ((DEFAULT_TOL.rcond, 1), (1e-16, 2)):
+            design = ArrayDesign(pts, KernelSpec("se"), tol=Tolerance(rcond=rcond))
+            result = krige(design, [0, 1], y)
+            assert result.rank == rank
+            assert np.abs(result.values[:, 0] - y).max() < 1e-12
 
 
 class TestFuzzyClassify:
@@ -526,6 +552,11 @@ class TestFuzzyClassify:
         design = grid_design(n=11, ell=0.25)
         lam = fuzzy_classify(design, [0], [10])
         assert np.all(lam[1:10] > -0.2) and np.all(lam[1:10] < 1.2)
+
+    @pytest.mark.parametrize("prior", [True, "0.5", float("nan")])
+    def test_prior_must_be_a_number(self, prior):
+        with pytest.raises(ValueError, match="^prior: "):
+            fuzzy_classify(grid_design(n=4), [0], [3], prior=prior)
 
     def test_overlapping_sets_rejected(self):
         design = grid_design(n=4)

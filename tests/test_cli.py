@@ -574,9 +574,10 @@ class TestKrigeCommand:
                         "--query", query, "--out", out])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["passed"] is True
         assert report["metrics"]["reproduction_max_error"] <= 1e-8
+        assert report["metrics"]["observed_rank"] == report["metrics"]["n_observed"] == 2
         lines = (out / "predictions.csv").read_text().strip().splitlines()
         assert lines[0] == "i_1,v_1"
         table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
@@ -996,6 +997,17 @@ class TestVerifyCommands:
         monkeypatch.setattr(GmtReport, gate, property(lambda self: False))
         assert verify_gmt(n_models=2, n_alternatives=3)["passed"] is False
 
+    def test_disintegration(self, tmp_path):
+        config = write_config(tmp_path / "c.json", {"samples": 2000})
+        out = tmp_path / "out"
+        assert run_cli(["verify", "disintegration", "--config", config, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        metrics = report["metrics"]
+        assert metrics["n_samples"] == 2000 and metrics["n_test_functions"] > 0
+        assert 0.0 <= metrics["worst_normalized_difference"] <= 1.0
+        assert metrics["failures"] == []
+        assert report["flags"] == {"passed": True} and report["passed"] is True
+
     def test_continuity(self, tmp_path):
         config = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
@@ -1064,16 +1076,20 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_failed_flag_names_its_metric(self, tmp_path, capsys):
-        # SE points 0 and 1e-6 pass the rank test at rcond 1e-16, so krige
-        # jitters the block and the data are no longer reproduced
-        config = write_config(tmp_path / "c.json", {"tolerances": {"rcond": 1e-16}})
-        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n0,1\n1e-6,1\n")
+        # the linear kernel's observed block at points 1 and 2 has rank 1;
+        # data 1 and 5 lie off its range, so the projected data are not
+        # reproduced
+        config = write_config(tmp_path / "c.json", {"kernel": {"family": "linear"},
+                                                    "krige": {"project": True}})
+        data = write_csv(tmp_path / "d.csv", "i_1,v_1\n1,1\n2,5\n")
         out = tmp_path / "out"
         assert run_cli(["krige", "--config", config, "--data", data, "--out", out]) == 1
         wrote, failed = capsys.readouterr().err.splitlines()
         assert wrote.startswith(f"krige: wrote {out} in ")
-        error = json.loads((out / "report.json").read_text())["metrics"]["reproduction_max_error"]
-        assert error > 1e-8
+        metrics = json.loads((out / "report.json").read_text())["metrics"]
+        assert metrics["observed_rank"] == 1 < metrics["n_observed"]
+        error = metrics["reproduction_max_error"]
+        assert error == pytest.approx(1.2)
         assert failed == (f"krige: flag observations_reproduced is false "
                           f"(reproduction_max_error {error:.6g})")
 

@@ -390,6 +390,14 @@ class TestMonteCarloSampleCount:
                 with pytest.raises(ValueError, match="n_samples must be at least 2"):
                     disintegration_check(measure, FIRST_COORD, n_samples=n_samples)
 
+    @pytest.mark.parametrize("n_samples", [2.5, True, "3"])
+    def test_count_must_be_an_integer(self, n_samples):
+        est = ols_build(BIVARIATE, FIRST_COORD)
+        with pytest.raises(ValueError, match="^n_samples: must be an integer >= 0$"):
+            disintegration_check(BIVARIATE, FIRST_COORD, n_samples=n_samples)
+        with pytest.raises(ValueError, match="^n_samples: must be an integer >= 0$"):
+            convolution_sample(est, 0, n_samples)
+
     def test_two_draws_are_enough(self):
         report = disintegration_check(BIVARIATE, FIRST_COORD, n_samples=2)
         assert report.n_samples == 2

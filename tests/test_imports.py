@@ -113,6 +113,9 @@ def test_deleted_functions_stay_deleted():
 def test_deleted_members_stay_deleted():
     assert "__call__" not in vars(olskit.OlsEstimator)  # ols_estimate applies it
     assert "at" not in vars(olskit.KrigeResult)
+    # kriging is the least-squares estimator alone: no jitter, no ridge on S
+    assert "jitter" not in {f.name for f in dataclasses.fields(olskit.KrigeResult)}
+    assert "ridge" not in inspect.signature(olskit.ols_build).parameters
     assert "mean_fn" not in {f.name for f in dataclasses.fields(olskit.ArrayDesign)}
     assert not hasattr(olskit.ArrayDesign, "mean_array")  # the design's mean is an array
     assert "data" not in {f.name for f in dataclasses.fields(olskit.ConditionalModel)}

@@ -564,6 +564,21 @@ class TestCoArrays:
         with pytest.raises(ValueError, match="not present"):
             coarray_apply(CoArray.dirac([2.0]), data)
 
+    def test_refuses_bools_and_strings(self):
+        # as the scalar rule refuses "1" and True, so do points, values and weights
+        with pytest.raises(ValueError, match="^dataset points: expected numbers"):
+            IndexedDataset([["1"], [True]], values=[[2.0], [0.0]])
+        with pytest.raises(ValueError, match="^dataset values: expected numbers"):
+            IndexedDataset([[1.0], [2.0]], values=["2", False])
+        with pytest.raises(ValueError, match="^coarray weights: expected numbers"):
+            CoArray([True], [[0.0]])
+        with pytest.raises(ValueError, match="^coarray weights: expected numbers"):
+            CoArray.dirac([0.0], covalue=True)
+        with pytest.raises(ValueError, match="^i: expected numbers"):
+            kernel_eval(KernelSpec("se"), [True], [0.0])
+        with pytest.raises(ValueError, match="^j: expected numbers"):
+            kernel_eval(KernelSpec("se"), [0.0], ["0.5"])
+
     def test_refuses_a_point_of_another_dimension(self):
         # the per-point scan broadcast the 1-d mass onto (1, 1) and read 10
         data = IndexedDataset([[1.0, 1.0], [2.0, 3.0]], [[10.0], [20.0]])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from olskit.linalg import (
     Tolerance,
     _fix_eigvec_signs,
     as_int,
+    as_matrix,
     as_number,
+    as_vector,
     check_psd,
     pinv,
     psd_factor,
@@ -274,6 +278,25 @@ class TestNumberValidators:
     def test_number_refused(self, value, message):
         with pytest.raises(ValueError, match="^x: " + message):
             as_number(value, "x")
+
+    @pytest.mark.parametrize("value, dtype", [
+        ([True, False], "bool"), (np.array([1, 0], dtype=bool), "bool"),
+        (["1", "2"], "<U1"), ([1.0, None], "object"),
+    ], ids=["bool", "numpy-bool", "string", "object"])
+    def test_array_refused(self, value, dtype):
+        # an array obeys the scalar rule: no bool, string or non-number entries
+        message = f"^v: expected numbers, got dtype {re.escape(dtype)}$"
+        with pytest.raises(ValueError, match=message):
+            as_vector(value, "v")
+        with pytest.raises(ValueError, match=message.replace("v:", "m:")):
+            as_matrix([value], "m")
+
+    def test_array_of_numbers_accepted_as_floats(self):
+        out = as_vector([1, np.int8(2), np.float32(2.5)], "v")
+        assert out.dtype == float and out.tolist() == [1.0, 2.0, 2.5]
+        # numpy turns a row mixing a float and a bool into floats before any
+        # check can see it
+        assert as_matrix([[1.0, True]], "m").tolist() == [[1.0, 1.0]]
 
     def test_integer(self):
         assert as_int(3, "n", 1) == 3 and type(as_int(np.int32(3), "n", 1)) is int

@@ -168,9 +168,9 @@ class TestIdentity:
 ESTIMATOR_FIELDS = ("gain", "p_range", "lift", "resid", "data_mean")
 
 
-def assert_matches_dense(model, g, ridge=0.0):
-    est = ols_build(model, g, ridge=ridge)
-    want = ols_build_dense(model.cov, model.mean, g, ridge)
+def assert_matches_dense(model, g):
+    est = ols_build(model, g)
+    want = ols_build_dense(model.cov, model.mean, g)
     for name in ESTIMATOR_FIELDS:
         assert np.array_equal(getattr(est, name), want[name]), name
 
@@ -179,9 +179,9 @@ class TestSelectionMaps:
     """A restriction map applied by index gives the dense products' bits."""
 
     @pytest.mark.parametrize("q", [1, 2])
-    @pytest.mark.parametrize("ridge", [0.0, 1e-6])
+    @pytest.mark.parametrize("nugget", [0.0, 1e-6])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_restriction_map_matches_dense_build(self, q, ridge, seed):
+    def test_restriction_map_matches_dense_build(self, q, nugget, seed):
         rng = np.random.default_rng([seed, q])
         n = 60
         mix = np.array([[1.0, 0.4], [0.4, 0.8]]) if q == 2 else None
@@ -191,10 +191,12 @@ class TestSelectionMaps:
         mean = np.repeat((np.sin(pts[:, 0]) + pts[:, 1])[:, None], q, axis=1)
         design = ArrayDesign(pts, spec, mean=mean)
         model = model_from_design(design)
+        # a prior with a nugget, K + nugget I, gathers its diagonal bit for bit too
+        model = FiniteModel(model.mean, model.cov + nugget * np.eye(model.n))
         subset = rng.permutation(n)[: int(rng.integers(1, n))]
         g = restriction_map(design, subset)
         assert model_module._selected_columns(g) is not None
-        assert_matches_dense(model, g, ridge)
+        assert_matches_dense(model, g)
 
     @pytest.mark.parametrize("edit", ["two", "double", "negative", "repeat"])
     def test_other_maps_take_the_dense_path(self, edit):
@@ -211,7 +213,6 @@ class TestSelectionMaps:
             g[2] = g[0]
         assert model_module._selected_columns(g) is None
         assert_matches_dense(model, g)
-        assert_matches_dense(model, g, ridge=1e-3)
 
 
 class TestOlsEstimate:
@@ -226,6 +227,13 @@ class TestOlsEstimate:
         est = ols_build(model, np.eye(3))
         y = np.array([0.3, -1.0, 2.0])
         assert np.allclose(ols_estimate(est, y), y, atol=1e-10)
+
+    @pytest.mark.parametrize("project", ["no", 1, None])
+    def test_project_must_be_a_bool(self, project):
+        model, _ = make_model(9, 3)
+        est = ols_build(model, np.eye(3)[:2])
+        with pytest.raises(ValueError, match="^project: must be True or False"):
+            ols_estimate(est, [1.0, 2.0], project=project)
 
     def test_data_of_another_length_is_refused(self):
         # one datum used to broadcast to y = (1, 1) and (5, 5)
@@ -612,6 +620,16 @@ class TestPaleyWiener:
 
 
 class TestSample:
+    @pytest.mark.parametrize("seed, n_samples, name", [
+        (0, 2.5, "n_samples"), (0, True, "n_samples"), (0, -1, "n_samples"),
+        (1.5, 3, "seed"), (True, 3, "seed"), (-1, 3, "seed"),
+    ])
+    def test_counts_and_seeds_are_integers(self, seed, n_samples, name):
+        # int() used to take 2.5 as 2 rows and True as 1
+        model = FiniteModel(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=f"^{name}: must be an integer >= 0$"):
+            sample(model, seed, n_samples)
+
     def test_zero_covariance(self):
         model = FiniteModel(np.array([1.0, -2.0]), np.zeros((2, 2)))
         draws = sample(model, 0, 50)

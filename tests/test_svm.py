@@ -253,6 +253,21 @@ class TestFailureModes:
             svm_train(problem, tol=1e-14, max_iter=2)
         assert err.value.gap > 0.0
 
+    @pytest.mark.parametrize("tol, message", [
+        (float("nan"), "tol: must be finite"), (0.0, "tol: must be > 0"),
+        (-1e-10, "tol: must be > 0"), (True, "tol: expected a number"),
+        ("1e-10", "tol: expected a number"),
+    ], ids=["nan", "zero", "negative", "bool", "string"])
+    def test_tol_must_be_a_positive_number(self, tol, message):
+        # a NaN tol made the final gap test false and returned an unchecked model
+        with pytest.raises(ValueError, match="^" + message):
+            svm_train(blobs_problem(6), tol=tol, max_iter=2)
+
+    @pytest.mark.parametrize("max_iter", [0, True, 2.5])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        with pytest.raises(ValueError, match="^max_iter: must be an integer >= 1$"):
+            svm_train(blobs_problem(6), max_iter=max_iter)
+
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
             SvmProblem(SE, [[0.0, 0.0]], [[0.0, 0.0]])
