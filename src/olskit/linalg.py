@@ -90,9 +90,19 @@ DEFAULT_TOL = Tolerance()
 
 def _numbers(a, name: str) -> np.ndarray:
     """``a`` as a float array, refusing the entries ``as_number`` refuses by
-    type: a bool, string or object (non-number) array."""
+    type: a bool, string or object (non-number) array.
+
+    An ndarray is judged by its dtype alone.  A Python sequence whose numpy
+    dtype is numeric or object is read entry by entry through ``as_number``,
+    because numpy folds a bool among numbers into them and holds an int
+    beyond int64 as an object."""
     out = np.asarray(a)
-    if out.dtype.kind not in "iuf":
+    kind = out.dtype.kind
+    if not isinstance(a, np.ndarray) and kind in "iufO":
+        entries = np.asarray(a, dtype=object)
+        return np.array([as_number(v, name) for v in entries.flat],
+                        dtype=float).reshape(entries.shape)
+    if kind not in "iuf":
         raise ValueError(f"{name}: expected numbers, got dtype {out.dtype}")
     return out.astype(float, copy=False)
 

@@ -7,9 +7,11 @@ the embedded sets.  Training minimizes
     || sum_j nu1_j phi(d1_j) - sum_k nu0_k phi(d0_k) ||^2
 
 over the product of probability simplices with a primal active-set method
-(Wolfe's nearest-point algorithm, Math. Programming 11, 1976): every
-iteration is one exact solve on the current support, which then drops a
-point whose weight would turn negative or admits the lowest-scoring point.
+(Wolfe's nearest-point algorithm, Math. Programming 11, 1976).  It starts
+at the closest cross pair (as Keerthi et al., IEEE TNN 11, 2000, do), and
+every iteration is one exact solve on the current support, which then
+drops a point whose weight would turn negative or admits the
+lowest-scoring point of each class whose gap term is positive.
 The certificate is the Frank-Wolfe duality gap, an upper bound on the
 objective suboptimality.  Everything downstream (margin, decision values,
 labels) uses kernel evaluations only.
@@ -138,10 +140,18 @@ def _support_solve(q: np.ndarray, a: np.ndarray, n1: int) -> np.ndarray:
 
 def _certificate(x: np.ndarray, r: np.ndarray, sides):
     """Objective ||xi||^2, offset, Frank-Wolfe duality gap at ``r = Q x``, and
-    the side with the larger gap term x_s.r_s - min r_s (class 1 on a tie)."""
+    each class's gap term x_s.r_s - min r_s (class 1 first)."""
     w1, w0 = (float(x[s] @ r[s]) for s in sides)
-    t1, t0 = w1 - float(r[sides[0]].min()), w0 - float(r[sides[1]].min())
-    return w1 + w0, 0.5 * (w1 - w0), 2.0 * (t1 + t0), sides[t0 > t1]
+    terms = w1 - float(r[sides[0]].min()), w0 - float(r[sides[1]].min())
+    return w1 + w0, 0.5 * (w1 - w0), 2.0 * (terms[0] + terms[1]), terms
+
+
+def _positive_tol(tol) -> float:
+    """``tol`` as a number > 0 (``as_number``), else ValueError naming it."""
+    tol = as_number(tol, "tol")
+    if tol <= 0.0:
+        raise ValueError("tol: must be > 0")
+    return tol
 
 
 def svm_train(problem: SvmProblem, tol: float = 1e-10,
@@ -151,25 +161,27 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
 
     Each iteration solves the equality-constrained QP on the current
     support.  A solution with a negative weight is followed only until the
-    first weight reaches zero, and that point leaves the support; a
-    feasible one is accepted and certified, and the lowest-scoring point of
-    the class with the larger gap term joins the support.  Terminates when
-    the duality-gap certificate drops below ``tol`` (so the objective is
-    within ``tol`` of optimal).  Admitting a point already in the support,
-    or dropping the point just admitted, is a rounding stall: training
+    first weight reaches zero, and that point leaves the support (a minor
+    cycle); a feasible one is accepted and certified, and each class whose
+    gap term x_s.r_s - min r_s is positive admits its lowest-scoring point
+    unless that point is in the support already (a major cycle).
+    Terminates when the duality-gap certificate drops below ``tol`` (so the
+    objective is within ``tol`` of optimal).  In exact arithmetic a major
+    cycle admits a point and at least one point it admits keeps positive
+    weight, so a major cycle that can admit nothing, or minor cycles that
+    drop every point the last one admitted, is a rounding stall: training
     stops there and raises ``ConvergenceError``.
 
-    ``init_seed=None`` starts at the vertex of the first point of each
-    class; a seed picks a random vertex, which the uniqueness of the
-    separation vector makes inconsequential for the trained classifier.
-    ``max_iter`` (an integer >= 1) and ``n_iter`` count support solves, and
-    ``tol`` must be a number > 0, else ValueError.  Pass a list as
-    ``trace`` to collect the objective value at the start and after every
-    solve.
+    ``init_seed=None`` starts at the vertex of the closest cross pair,
+    the d1 and d0 points that minimize Q_ii + Q_jj + 2 Q_ij (the first
+    such pair in row order); an integer seed >= 0 picks a random vertex,
+    which the uniqueness of the separation vector makes inconsequential
+    for the trained classifier.  ``max_iter`` (an integer >= 1) and
+    ``n_iter`` count support solves, and ``tol`` must be a number > 0,
+    else ValueError.  Pass a list as ``trace`` to collect the objective
+    value at the start and after every solve.
     """
-    tol = as_number(tol, "tol")
-    if tol <= 0.0:
-        raise ValueError("tol: must be > 0")
+    tol = _positive_tol(tol)
     max_iter = as_int(max_iter, "max_iter", 1)
     # weights x = [nu1; nu0] and scores r = Q x
     q = problem.signed_gram
@@ -185,15 +197,20 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
         return np.concatenate([q[s1, s1] @ x1 + q[s1, s0] @ x0,
                                x1 @ q[s1, s0] + q[s0, s0] @ x0])
 
-    start = [0, n1]
-    if init_seed is not None:
-        rng = np.random.default_rng(init_seed)
+    if init_seed is None:
+        # squared RKHS distance of every cross pair, ||phi(d1_i) - phi(d0_j)||^2
+        diag = q.diagonal()
+        pair = diag[s1, None] + diag[s0] + 2.0 * q[s1, s0]
+        i, k = divmod(int(np.argmin(pair)), n - n1)
+        start = [i, n1 + k]
+    else:
+        rng = np.random.default_rng(as_int(init_seed, "init_seed", 0))
         start = [int(rng.integers(n1)), n1 + int(rng.integers(n - n1))]
     support = np.zeros(n, dtype=bool)
     support[start] = True
     a, y = np.flatnonzero(support), np.ones(2)  # a vertex solves its own support
     x = np.zeros(n)
-    j = -1  # the point admitted last
+    admitted = set()  # points the last major cycle admitted and no minor cycle dropped
     iters = 0
     while True:
         if y.min() < -1e-10:
@@ -202,13 +219,13 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
             neg = np.flatnonzero(y < 0.0)
             ratios = xa[neg] / (xa[neg] - y[neg])
             k = int(np.argmin(ratios))
-            if a[neg[k]] == j:
-                # the point just admitted keeps positive weight in exact
-                # arithmetic (Wolfe), so dropping it is a rounding stall
-                break
+            drop = int(a[neg[k]])
+            if admitted == {drop}:
+                break  # the last admitted point would leave: a rounding stall
+            admitted.discard(drop)
             x[a] = np.clip(xa + ratios[k] * (y - xa), 0.0, None)
-            x[a[neg[k]]] = 0.0
-            support[a[neg[k]]] = False
+            x[drop] = 0.0
+            support[drop] = False
             if trace is not None:
                 trace.append(float(x @ refresh(x)))
         else:
@@ -220,17 +237,18 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
             x[a[:m1]] = y[:m1] / sums[0]
             x[a[m1:]] = y[m1:] / sums[1]
             r = refresh(x)
-            objective, _, gap, side = _certificate(x, r, sides)
+            objective, _, gap, terms = _certificate(x, r, sides)
             if trace is not None:
                 trace.append(objective)
             if gap <= tol:
                 break
-            # admit the lowest score of the class further from its minimum;
-            # a point already admitted is a rounding stall
-            j = side.start + int(np.argmin(r[side]))
-            if support[j]:
-                break
-            support[j] = True
+            # each class with a positive gap term admits its lowest score
+            lowest = [side.start + int(np.argmin(r[side]))
+                      for side, term in zip(sides, terms) if term > 0.0]
+            admitted = {j for j in lowest if not support[j]}
+            if not admitted:
+                break  # nothing to admit while gap > tol: a rounding stall
+            support[list(admitted)] = True
         if iters >= max_iter:
             break
         a = np.flatnonzero(support)
@@ -301,7 +319,9 @@ def margin_check(model: SvmModel, problem: SvmProblem,
     the weight quadratic form matches the one recomputed from pointwise
     kernel sums.  The pointwise side goes through ``decision_values``, not
     the problem's Gram, so the two sides are computed independently.
+    ``tol`` must be a number > 0, as in ``svm_train``, else ValueError.
     """
+    tol = _positive_tol(tol)
     rho2 = model.objective
     g1 = decision_values(model, problem, problem.d1)
     g0 = decision_values(model, problem, problem.d0)

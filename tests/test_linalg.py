@@ -281,22 +281,44 @@ class TestNumberValidators:
 
     @pytest.mark.parametrize("value, dtype", [
         ([True, False], "bool"), (np.array([1, 0], dtype=bool), "bool"),
-        (["1", "2"], "<U1"), ([1.0, None], "object"),
+        (["1", "2"], "<U1"), (np.array([1.0, None]), "object"),
     ], ids=["bool", "numpy-bool", "string", "object"])
     def test_array_refused(self, value, dtype):
         # an array obeys the scalar rule: no bool, string or non-number entries
         message = f"^v: expected numbers, got dtype {re.escape(dtype)}$"
         with pytest.raises(ValueError, match=message):
             as_vector(value, "v")
+        # a list around an ndarray would be read entry by entry
+        matrix = value[None] if isinstance(value, np.ndarray) else [value]
         with pytest.raises(ValueError, match=message.replace("v:", "m:")):
-            as_matrix([value], "m")
+            as_matrix(matrix, "m")
 
     def test_array_of_numbers_accepted_as_floats(self):
         out = as_vector([1, np.int8(2), np.float32(2.5)], "v")
         assert out.dtype == float and out.tolist() == [1.0, 2.0, 2.5]
-        # numpy turns a row mixing a float and a bool into floats before any
-        # check can see it
-        assert as_matrix([[1.0, True]], "m").tolist() == [[1.0, 1.0]]
+
+    def test_huge_int_entry_accepted_as_float(self):
+        # numpy holds an int beyond int64 as an object, which as_number takes
+        assert as_number(2 ** 70, "x") == 2.0 ** 70
+        assert as_vector([2 ** 70], "v").tolist() == [2.0 ** 70]
+        assert as_matrix([[1, 2 ** 70]], "m").tolist() == [[1.0, 2.0 ** 70]]
+
+    @pytest.mark.parametrize("value, message", [
+        ([1, True], "expected a number, got True"),
+        ([1.0, True], "expected a number, got True"),
+        ([np.int64(1), np.True_], "expected a number, got "),
+        ([1.0, None], "expected a number, got None"),
+        ([1, 10 ** 400], "must be finite, got 1000"),
+    ], ids=["int-bool", "float-bool", "numpy-bool", "none", "huge"])
+    def test_sequence_entry_gets_the_scalar_verdict(self, value, message):
+        # numpy folds a bool among numbers into them, and makes an object
+        # array of the rest; each entry is read as as_number reads it
+        with pytest.raises(ValueError, match="^x: " + message):
+            as_number(value[1], "x")
+        with pytest.raises(ValueError, match="^v: " + message):
+            as_vector(value, "v")
+        with pytest.raises(ValueError, match="^m: " + message):
+            as_matrix([value], "m")
 
     def test_integer(self):
         assert as_int(3, "n", 1) == 3 and type(as_int(np.int32(3), "n", 1)) is int

@@ -240,6 +240,14 @@ class TestBlobs:
             assert abs(nearby - base) < 10 * h
 
 
+TOL_REFUSALS = [
+    (float("nan"), "tol: must be finite"), (0.0, "tol: must be > 0"),
+    (-1e-10, "tol: must be > 0"), (True, "tol: expected a number"),
+    ("1e-10", "tol: expected a number"),
+]
+TOL_REFUSAL_IDS = ["nan", "zero", "negative", "bool", "string"]
+
+
 class TestFailureModes:
     def test_non_separable_hulls(self):
         # phi(0) lies inside the hull of {phi(-1), phi(1)} for the linear kernel
@@ -248,25 +256,37 @@ class TestFailureModes:
                 svm_train(SvmProblem(LINEAR, [[-1.0], [1.0]], [[0.0]]))
 
     def test_max_iter_exceeded(self):
+        # from the closest pair this problem certifies at tol 1e-14 in 2 solves
         problem = blobs_problem(6)
         with pytest.raises(ConvergenceError) as err:
-            svm_train(problem, tol=1e-14, max_iter=2)
+            svm_train(problem, tol=1e-14, max_iter=1)
         assert err.value.gap > 0.0
 
-    @pytest.mark.parametrize("tol, message", [
-        (float("nan"), "tol: must be finite"), (0.0, "tol: must be > 0"),
-        (-1e-10, "tol: must be > 0"), (True, "tol: expected a number"),
-        ("1e-10", "tol: expected a number"),
-    ], ids=["nan", "zero", "negative", "bool", "string"])
+    @pytest.mark.parametrize("tol, message", TOL_REFUSALS, ids=TOL_REFUSAL_IDS)
     def test_tol_must_be_a_positive_number(self, tol, message):
         # a NaN tol made the final gap test false and returned an unchecked model
         with pytest.raises(ValueError, match="^" + message):
             svm_train(blobs_problem(6), tol=tol, max_iter=2)
 
+    @pytest.mark.parametrize("tol, message", TOL_REFUSALS, ids=TOL_REFUSAL_IDS)
+    def test_margin_check_tol_must_be_a_positive_number(self, tol, message):
+        # a NaN or negative tol returned passed=False, True was read as 1.0
+        # and a string raised numpy's UFuncTypeError
+        problem = blobs_problem(6)
+        model = svm_train(problem)
+        with pytest.raises(ValueError, match="^" + message):
+            margin_check(model, problem, tol=tol)
+
     @pytest.mark.parametrize("max_iter", [0, True, 2.5])
     def test_max_iter_must_be_a_positive_integer(self, max_iter):
         with pytest.raises(ValueError, match="^max_iter: must be an integer >= 1$"):
             svm_train(blobs_problem(6), max_iter=max_iter)
+
+    @pytest.mark.parametrize("init_seed", [True, 2.5, -1], ids=["bool", "float", "negative"])
+    def test_init_seed_must_be_a_non_negative_integer(self, init_seed):
+        # True was taken as seed 1; 2.5 and -1 raised numpy errors naming no parameter
+        with pytest.raises(ValueError, match="^init_seed: must be an integer >= 0$"):
+            svm_train(blobs_problem(6), init_seed=init_seed)
 
     def test_overlapping_sets_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
@@ -516,6 +536,30 @@ def test_rounding_stall_fails_at_once(seed):
     with pytest.raises(ConvergenceError):
         svm_train(problem, max_iter=500, trace=trace)
     assert len(trace) <= 20
+
+
+@pytest.mark.filterwarnings("ignore:kernel gram is not strictly positive definite")
+@pytest.mark.parametrize("spec, d0, d1", [
+    pytest.param(SE, *blobs_2d(seed), id=f"se-{seed}") for seed in range(3)] + [
+    pytest.param(LINEAR, *blobs_2d(seed), id=f"linear-{seed}") for seed in range(3)] + [
+    pytest.param(BENCH_SPEC, *benchmark_blobs(3, k), id=f"bench-3-{k}") for k in range(3)])
+def test_training_starts_at_the_closest_cross_pair(spec, d0, d1):
+    # the first objective is the least ||phi(d1_i) - phi(d0_j)||^2
+    trace: list = []
+    svm_train(SvmProblem(spec, d0, d1), trace=trace)
+    pairs = (np.diag(scalar_kernel(spec, d1, d1))[:, None]
+             + np.diag(scalar_kernel(spec, d0, d0))[None, :]
+             - 2.0 * scalar_kernel(spec, d1, d0))
+    assert trace[0] == pytest.approx(float(pairs.min()), rel=1e-12)
+
+
+def test_benchmark_problems_take_few_support_solves():
+    # from the closest pair, admitting one point per class, these ten
+    # problems take 98 solves; from each class's first point, admitting
+    # one point per cycle, they took 197
+    solves = sum(svm_train(SvmProblem(BENCH_SPEC, *benchmark_blobs(seed, k))).n_iter
+                 for seed in (3, 11) for k in range(5))
+    assert solves <= 120
 
 
 SWEEP_SPECS = (
