@@ -16,10 +16,10 @@ means bad input or an output that cannot be written.  A library warning,
 such as the SVM's on a Gram that no theorem certifies strictly PD, is
 printed to stderr as one ``warning: <message>`` line.
 
-The config layer names paths and owns no field rule: ``KernelSpec`` and
-``Tolerance`` default and check their own fields, and ``config_from_dict``
-refuses only what is about the file and puts ``kernel.`` or
-``tolerances.`` before the field's own message.
+The config layer owns no field rule or default: ``config_from_dict`` reads
+every block through one loop, takes each default from the block's owner,
+puts the block before the owner's or ``linalg`` rule's message, and echoes
+every field as given.
 
 Reports are canonical JSON (sorted keys, floats at 17 significant digits)
 so a fixed (config, data, seed) triple produces byte-identical output
@@ -41,13 +41,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import json
 import math
 import os
 import sys
 import time
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -61,7 +62,7 @@ from .kernels import (
     default_epsilon_grid,
     entropy_integral,
 )
-from .linalg import Tolerance, as_int, as_number
+from .linalg import Tolerance, as_bool, as_int, as_number, as_positive
 from .svm import SvmProblem, margin_check, decision_values, svm_train
 from .verify import VERIFY_TARGETS
 
@@ -296,12 +297,19 @@ def _sha256(path: str) -> str:
 # configuration
 # ---------------------------------------------------------------------------
 
-_BLOCK_DEFAULTS = {
-    "krige": {"project": False},
-    "svm": {"tol": 1e-10, "max_iter": 200000},
-    "fuzzy": {"prior": 0.5},
-    "condition": {},
-    "verify": {},
+# block -> (owner, rules, unknown-field message).  A class owner is built from the block and
+# checks its fields itself (rules None); a run block's fields are parameters
+# of a library function, checked here by their rules whether or not the
+# command reads them.  A field not given takes the owner's default.
+_BLOCKS = {
+    "kernel": (KernelSpec, None, "unknown kernel field"),
+    "tolerances": (Tolerance, None, "unknown tolerance field"),
+    "krige": (krige, {"project": as_bool}, "unknown field"),
+    "svm": (svm_train, {"tol": as_positive,
+                        "max_iter": functools.partial(as_int, minimum=1)}, "unknown field"),
+    "fuzzy": (fuzzy_classify, {"prior": as_number}, "unknown field"),
+    "condition": (None, {}, "unknown field"),
+    "verify": (None, {}, "unknown field"),
 }
 
 
@@ -342,58 +350,43 @@ def _field_errors(prefix: str = ""):
         raise ConfigError(prefix + str(exc)) from exc
 
 
-def _object(raw: dict, name: str) -> dict:
-    """``raw[name]``, or ``{}`` when absent; a non-object block is bad input."""
-    block = raw.get(name, {})
-    _require(isinstance(block, dict), name, "must be an object")
-    return block
-
-
-def _built(cls, raw: dict, name: str, noun: str) -> tuple:
-    """``cls`` built from the block ``raw[name]`` (a required field it omits
-    passed as None), and its echo: each field as ``cls`` stores it, but a
-    string or a list as given (a family's alias, a mixing matrix's rows)."""
-    block = _object(raw, name)
-    names = [f.name for f in fields(cls) if f.name != "eval_hook"]
-    for key in block:
-        _require(key in names, f"{name}.{key}", f"unknown {noun} field")
-    required = {f.name: None for f in fields(cls) if f.default is MISSING}
-    with _field_errors(f"{name}."):
-        built = cls(**{**required, **block})
-    echo = {key: getattr(built, key) for key in names}
-    echo.update((k, v) for k, v in block.items() if isinstance(v, (str, list)))
-    return built, echo
+@functools.lru_cache(maxsize=None)
+def _defaults(owner) -> dict:
+    """Each parameter of ``owner`` and its default, None if it is required."""
+    return {key: None if p.default is p.empty else p.default
+            for key, p in inspect.signature(owner).parameters.items()}
 
 
 def config_from_dict(raw: dict) -> Config:
     _require(isinstance(raw, dict), "", "config root must be a JSON object")
-    known = {"kernel", "seed", "tolerances", "samples", *(_BLOCK_DEFAULTS)}
     for key in raw:
-        _require(key in known, key, "unknown configuration field")
-
+        _require(key in {*_BLOCKS, "seed", "samples"}, key, "unknown configuration field")
     _require("kernel" in raw, "kernel", "required field is missing")
-    spec, kernel = _built(KernelSpec, raw, "kernel", "kernel")
-    tol, tolerances = _built(Tolerance, raw, "tolerances", "tolerance")
     _require("seed" in raw, "seed", "required field is missing")
 
-    blocks = {}
-    for name, defaults in _BLOCK_DEFAULTS.items():
-        block = dict(defaults)
-        for key, value in _object(raw, name).items():
-            _require(key in defaults, f"{name}.{key}", "unknown field")
-            block[key] = value
-        blocks[name] = block
+    blocks, built = {}, {}
+    for name, (owner, rules, unknown) in _BLOCKS.items():
+        given = raw.get(name, {})
+        _require(isinstance(given, dict), name, "must be an object")
+        defaults = _defaults(owner) if owner else {}
+        # a class's every field but the hook, which a file cannot hold
+        names = [key for key in defaults if key != "eval_hook"] if rules is None else rules
+        for key in given:
+            _require(key in names, f"{name}.{key}", unknown)
+        blocks[name] = block = {key: defaults[key] for key in names}
+        block.update(given)
+        with _field_errors(f"{name}."):
+            if rules is None:
+                built[name] = owner(**block)
+            else:
+                for key, rule in rules.items():
+                    rule(block[key], key)
     with _field_errors():
         seed = as_int(raw["seed"], "seed", 0)
         samples = as_int(raw.get("samples", 100000), "samples", 1)
-        svm_tol = as_number(blocks["svm"]["tol"], "svm.tol")
-        as_int(blocks["svm"]["max_iter"], "svm.max_iter", 1)
-        as_number(blocks["fuzzy"]["prior"], "fuzzy.prior")
-    _require(svm_tol > 0, "svm.tol", "must be > 0")
-    _require(isinstance(blocks["krige"]["project"], bool), "krige.project",
-             "must be true or false")
-    return Config(kernel=kernel, seed=seed, tolerances=tolerances,
-                  samples=samples, blocks=blocks, spec=spec, tol=tol)
+    return Config(kernel=blocks.pop("kernel"), seed=seed,
+                  tolerances=blocks.pop("tolerances"), samples=samples,
+                  blocks=blocks, spec=built["kernel"], tol=built["tolerances"])
 
 
 def parse_config(path: str) -> Config:

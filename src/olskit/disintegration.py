@@ -197,14 +197,16 @@ def default_test_functions(n: int, seed: int = 0, n_random: int = 5):
     plus seeded random tanh(w . v + b) functions.
 
     Each entry is (name, callable) with the callable vectorized over rows.
+    ``n``, ``seed`` and ``n_random`` are integers >= 0 (``as_int``).
     """
+    n, n_random = as_int(n, "n", 0), as_int(n_random, "n_random", 0)
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
     funcs: list[tuple[str, object]] = [("const", lambda v: np.ones(v.shape[0]))]
     for i in range(n):
         funcs.append((f"coord_{i}", lambda v, i=i: v[:, i]))
     for i in range(n):
         for j in range(i, n):
             funcs.append((f"prod_{i}_{j}", lambda v, i=i, j=j: v[:, i] * v[:, j]))
-    rng = np.random.default_rng(seed)
     for k in range(n_random):
         w = rng.standard_normal(n)
         b = rng.standard_normal()
@@ -268,8 +270,9 @@ def disintegration_check(measure, obs, test_functions=None, seed: int = 0,
     Carlo comparison beyond it, on atoms drawn by probability; exact
     failures witness non-UII dependence structure.  Both Monte Carlo
     audits take 3 n_samples draws: the first third is the direct side,
-    the rest go through ``_convolution``.  They need n_samples >= 2 (else
-    ValueError); the exact path ignores n_samples.
+    the rest go through ``_convolution``.  They need n_samples >= 2 and a
+    seed that is an integer >= 0 (else ValueError); the exact path
+    ignores both.
     """
     if isinstance(measure, DiscreteMeasure) and (
             measure.probs.size ** 2 <= _MAX_ENUMERATED_ATOMS):
@@ -277,6 +280,7 @@ def disintegration_check(measure, obs, test_functions=None, seed: int = 0,
     n = as_int(n_samples, "n_samples", 0)
     if n < 2:  # the Monte Carlo bound takes a sample standard deviation
         raise ValueError(f"n_samples must be at least 2 for a Monte Carlo check, got {n}")
+    seed = as_int(seed, "seed", 0)
     if isinstance(measure, DiscreteMeasure):
         est = discrete_ols(measure, obs)
         rng = np.random.default_rng(seed)

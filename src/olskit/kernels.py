@@ -17,13 +17,13 @@ estimate.  Index points are equal when their coordinates are equal by value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, PsdGate, Tolerance, _psd_floor, as_int, as_matrix,
-                     as_number, as_vector, check_psd)
+                     as_number, as_positive, as_vector, check_psd)
 
 _STATIONARY = ("se", "matern12", "matern32", "matern52", "wendland")
 _DOT_PRODUCT = ("linear", "polynomial")
@@ -57,8 +57,9 @@ def as_points(points, name: str = "points") -> np.ndarray:
     return as_matrix(out[:, None] if out.ndim == 1 else out, name)
 
 
-def _mixing_matrix(b, q: int) -> np.ndarray:
-    """``b`` as a q x q float array: rows of ``as_number`` entries, PSD."""
+def _mixing_matrix(b, q: int) -> tuple[tuple[float, ...], ...]:
+    """``b`` as q rows of q floats: ``as_number`` entries, PSD (the rows of
+    ``check_psd``'s matrix, symmetrized if ``b`` was not exactly)."""
     rows = b.tolist() if isinstance(b, np.ndarray) else b
     if not (isinstance(rows, (list, tuple))
             and all(isinstance(row, (list, tuple)) for row in rows)):
@@ -66,10 +67,11 @@ def _mixing_matrix(b, q: int) -> np.ndarray:
     rows = [[as_number(v, "coregionalization") for v in row] for row in rows]
     if len(rows) != q or any(len(row) != q for row in rows):
         raise ValueError("coregionalization: must be output_dim x output_dim")
-    return check_psd(np.array(rows), name="coregionalization").matrix
+    gate = check_psd(np.array(rows), name="coregionalization")
+    return tuple(map(tuple, gate.matrix.tolist()))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class KernelSpec:
     """Parametrized covariance kernel.
 
@@ -83,27 +85,28 @@ class KernelSpec:
 
     The spec owns every rule on its fields, and the rules bind library
     callers and the CLI's ``kernel`` block alike.  ``lengthscale``,
-    ``variance`` and a given ``support_radius`` pass ``as_number`` (a bool,
-    a string, NaN, an infinity or an integer beyond the float range is
-    refused), must be > 0 and are stored as floats; ``output_dim`` and
+    ``variance`` and a given ``support_radius`` pass ``as_positive`` (a
+    bool, a string, NaN, an infinity, an integer beyond the float range or
+    a number <= 0 is refused) and are stored as floats; ``output_dim`` and
     ``degree`` pass ``as_int`` with minimum 1; ``coregionalization`` is q
-    rows of q entries that pass ``as_number``, and ``check_psd``; a given
-    ``eval_hook`` is callable.  Every
-    ValueError begins with the field's name, as in ``lengthscale: must
-    be > 0``.
+    rows of q entries that pass ``as_number``, and ``check_psd``, and is
+    stored as a tuple of float rows (``mixing()`` gives the array); a given
+    ``eval_hook`` is callable.  Every ValueError begins with the field's
+    name, as in ``lengthscale: expected a number, got '1'``.
 
-    Specs compare and hash by value: the mixing matrix by its entries, the
-    hook not at all.
+    Specs compare and hash by value, as a dataclass does: the mixing
+    matrix by its entries (-0.0 equals 0.0), the hook not at all.
     """
 
     family: str
     lengthscale: float = 1.0
     variance: float = 1.0
     output_dim: int = 1
-    coregionalization: np.ndarray | None = None
+    coregionalization: tuple[tuple[float, ...], ...] | None = None
     degree: int = 2
     support_radius: float | None = None
-    eval_hook: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    eval_hook: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
+        default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, str):
@@ -113,12 +116,8 @@ class KernelSpec:
             raise ValueError(f"family: unknown kernel family {self.family!r}")
         object.__setattr__(self, "family", key)
         for name in ("lengthscale", "variance", "support_radius"):
-            if getattr(self, name) is None and name == "support_radius":
-                continue
-            value = as_number(getattr(self, name), name)
-            if value <= 0.0:
-                raise ValueError(f"{name}: must be > 0")
-            object.__setattr__(self, name, value)
+            if getattr(self, name) is not None or name != "support_radius":
+                object.__setattr__(self, name, as_positive(getattr(self, name), name))
         for name in ("output_dim", "degree"):
             object.__setattr__(self, name, as_int(getattr(self, name), name, 1))
         if key == "wendland" and self.support_radius is None:
@@ -131,29 +130,15 @@ class KernelSpec:
             object.__setattr__(self, "coregionalization",
                                _mixing_matrix(self.coregionalization, self.output_dim))
 
-    def _key(self) -> tuple:
-        b = self.coregionalization
-        # + 0.0 turns -0.0 into 0.0, so equal matrices have equal bytes
-        mixing = None if b is None else (b + 0.0).tobytes()
-        return (self.family, self.lengthscale, self.variance, self.output_dim,
-                mixing, self.degree, self.support_radius)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KernelSpec):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     @property
     def q(self) -> int:
         return self.output_dim
 
     def mixing(self) -> np.ndarray:
+        """The mixing matrix B as a q x q array, the identity when omitted."""
         if self.coregionalization is None:
             return np.eye(self.output_dim)
-        return self.coregionalization
+        return np.array(self.coregionalization)
 
 
 _BLOCK = 1 << 15  # entries per tile of a kernel pass, ~256 kB
@@ -604,15 +589,14 @@ def covering_number(spec: KernelSpec, points, eps: float, covalue=None) -> int:
     upper bound on the minimal cover size and is nonincreasing in eps.
     The sweep starts at the lexicographically smallest point, which makes
     the result deterministic; the count is the number of covering radii
-    the sweep takes to reach eps.
+    the sweep takes to reach eps.  ``eps`` passes ``as_positive``.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be > 0")
+    eps = as_positive(eps, "eps")
     pts = as_points(points)
     if pts.shape[0] == 0:
         raise ValueError("covering_number requires a nonempty point set")
     dist = metric_matrix(spec, pts, covalue)
-    return int(_cover_radii(dist, _lexicographic_start(pts), float(eps)).size)
+    return int(_cover_radii(dist, _lexicographic_start(pts), eps).size)
 
 
 def default_epsilon_grid(spec: KernelSpec, points, covalue=None) -> np.ndarray:
@@ -634,9 +618,11 @@ def entropy_integral(
     One farthest-point sweep, run down to the smallest eps, gives the
     covering radii; N(eps) for each grid point is the position of the
     first radius <= eps, the same count ``covering_number`` returns.
+    ``grid`` passes ``as_vector`` and is nonempty, positive and strictly
+    increasing.
     """
-    eps = np.asarray(list(grid), dtype=float)
-    if eps.ndim != 1 or eps.size < 1:
+    eps = as_vector(grid, "grid")
+    if eps.size < 1:
         raise ValueError("grid must be a nonempty 1-d sequence")
     if not np.all(eps > 0.0) or (eps.size > 1 and not np.all(np.diff(eps) > 0.0)):
         raise ValueError("grid must be strictly increasing and positive")

@@ -8,7 +8,7 @@ convention, so repeated calls produce bit-identical output.
 A PSD gate (``PsdGate``) holds a matrix to one floor, ``abs_psd * max|K|``,
 and comes from one of two certificates.  ``check_psd`` decides by a
 Cholesky factorization of ``K + floor*I``; it gates every covariance given
-as a matrix, every coregionalization matrix, every ``psd_factor`` input
+as a matrix, every coregionalization matrix, every ``psd_factor`` matrix
 and every design prior or SVM Gram the other certificate does not cover.
 ``kernels._gram_gate`` decides with no factorization, by theorem and a
 rounding bound, for the closed-form stationary Grams, and its theorem
@@ -47,6 +47,21 @@ def as_number(value, name: str) -> float:
     if not abs(value if isinstance(value, int) else float(value)) <= _FLOAT_MAX:
         raise ValueError(f"{name}: must be finite, got {value!r}")
     return float(value)
+
+
+def as_positive(value, name: str) -> float:
+    """``value`` as a float > 0 (``as_number``)."""
+    value = as_number(value, name)
+    if value <= 0.0:
+        raise ValueError(f"{name}: must be > 0")
+    return value
+
+
+def as_bool(value, name: str) -> bool:
+    """``value`` as a bool: True or False, a Python or numpy bool only."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name}: must be True or False, got {value!r}")
+    return bool(value)
 
 
 def as_int(value, name: str, minimum: int) -> int:
@@ -95,8 +110,11 @@ def _numbers(a, name: str) -> np.ndarray:
     An ndarray is judged by its dtype alone.  A Python sequence whose numpy
     dtype is numeric or object is read entry by entry through ``as_number``,
     because numpy folds a bool among numbers into them and holds an int
-    beyond int64 as an object."""
-    out = np.asarray(a)
+    beyond int64 as an object.  A ragged sequence is refused."""
+    try:
+        out = np.asarray(a)
+    except ValueError:  # numpy's refusal of a ragged sequence names nothing
+        raise ValueError(f"{name}: expected an array, got a ragged sequence") from None
     kind = out.dtype.kind
     if not isinstance(a, np.ndarray) and kind in "iufO":
         entries = np.asarray(a, dtype=object)
@@ -249,6 +267,7 @@ def check_psd(k: np.ndarray, tol: Tolerance = DEFAULT_TOL,
 
 def psd_factor(k, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Square factor F with F F^T ~= K: ``check_psd`` plus an eigenbasis.
+    ``k`` may instead be a ``PsdGate`` already certified, taken as it is.
 
     Columns are eigenvectors of the gated matrix by descending eigenvalue,
     each with its first significantly nonzero entry positive, so F is
@@ -258,7 +277,7 @@ def psd_factor(k, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     ``n * floor``; the cut scales with K, as the floor does.  Raises the
     gate's NotPsdError.
     """
-    gate = check_psd(as_matrix(k, "psd matrix"), tol)
+    gate = k if isinstance(k, PsdGate) else check_psd(as_matrix(k, "psd matrix"), tol)
     w, v = np.linalg.eigh(gate.matrix)
     order = np.argsort(w)[::-1]
     w = w[order]

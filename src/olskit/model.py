@@ -14,7 +14,7 @@ risk identities and the Gauss-Markov comparisons in this module exercise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .linalg import (
     PsdGate,
     Tolerance,
     _svd_cutoff,
+    as_bool,
     as_int,
     as_matrix,
     as_vector,
@@ -60,12 +61,14 @@ class FiniteModel:
     (and symmetrizes if needed), or as a ``PsdGate`` that is already
     certified; ``model_from_design`` hands over the gate of a closed-form
     kernel Gram, certified by theorem and a rounding bound.  Either way the
-    shape and finiteness checks run, and ``cov`` holds the gated matrix.
+    shape and finiteness checks run, ``cov`` holds the gated matrix and
+    ``floor`` the floor it was certified at, so it is never gated again.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     tol: Tolerance = DEFAULT_TOL
+    floor: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = as_vector(self.mean, "mean")
@@ -79,6 +82,7 @@ class FiniteModel:
             gate = check_psd(k, self.tol, "cov")
         object.__setattr__(self, "mean", m)
         object.__setattr__(self, "cov", gate.matrix)
+        object.__setattr__(self, "floor", gate.floor)
 
     @property
     def n(self) -> int:
@@ -198,10 +202,9 @@ def ols_estimate(est: OlsEstimator, y, project: bool = False) -> np.ndarray:
 
     Off-support data raises SupportViolationError unless ``project=True``,
     in which case the data is first projected onto the support (the
-    continuous extension choice).  ``project`` must be a bool.
+    continuous extension choice).  ``project`` must be a bool (``as_bool``).
     """
-    if not isinstance(project, (bool, np.bool_)):
-        raise ValueError(f"project: must be True or False, got {project!r}")
+    project = as_bool(project, "project")
     y = as_vector(y, "data")
     if y.size != est.p:
         raise ValueError(f"data has {y.size} entries, the observation map has {est.p} rows")
@@ -223,11 +226,11 @@ def ols_estimate(est: OlsEstimator, y, project: bool = False) -> np.ndarray:
 def sample(model: FiniteModel, seed: int, n_samples: int) -> np.ndarray:
     """Draw seeded Gaussian samples, one per row.
 
-    Samples are m + F z with F the deterministic PSD factor of K, so every
-    draw lies on the affine support m + range(K).  ``seed`` and
-    ``n_samples`` are integers >= 0 (``as_int``).
+    Samples are m + F z with F the deterministic PSD factor of K, taken at
+    the model's own certificate, so every draw lies on the affine support
+    m + range(K).  ``seed`` and ``n_samples`` are integers >= 0 (``as_int``).
     """
-    f = psd_factor(model.cov, model.tol)
+    f = psd_factor(PsdGate(model.cov, model.floor))
     rng = np.random.default_rng(as_int(seed, "seed", 0))
     z = rng.standard_normal((as_int(n_samples, "n_samples", 0), model.n))
     return model.mean[None, :] + z @ f.T
@@ -310,11 +313,12 @@ def random_right_inverse(est: OlsEstimator, seed: int) -> np.ndarray:
     """Seeded oblique right inverse B + R N P with N standard normal.
 
     Requires S = G K G^T to be full rank, so the result satisfies
-    G @ result = I exactly up to rounding.
+    G @ result = I exactly up to rounding.  ``seed`` is an integer >= 0
+    (``as_int``).
     """
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
     if float(np.linalg.norm(est.p_range - np.eye(est.p))) > 1e-8 * max(1.0, est.p):
         raise ValueError("random_right_inverse requires full-rank G K G^T")
-    rng = np.random.default_rng(seed)
     noise = rng.standard_normal((est.n, est.p))
     return est.gain + est.resid @ noise @ est.p_range
 

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import KernelSpec, _first_rows, _gram_gate, _locate, as_points, cross_kernel
-from .linalg import DEFAULT_TOL, Tolerance, _cholesky_certifies, as_int, as_number, check_psd
+from .linalg import DEFAULT_TOL, Tolerance, _cholesky_certifies, as_int, as_positive, check_psd
 
 
 class SeparationError(RuntimeError):
@@ -146,14 +146,6 @@ def _certificate(x: np.ndarray, r: np.ndarray, sides):
     return w1 + w0, 0.5 * (w1 - w0), 2.0 * (terms[0] + terms[1]), terms
 
 
-def _positive_tol(tol) -> float:
-    """``tol`` as a number > 0 (``as_number``), else ValueError naming it."""
-    tol = as_number(tol, "tol")
-    if tol <= 0.0:
-        raise ValueError("tol: must be > 0")
-    return tol
-
-
 def svm_train(problem: SvmProblem, tol: float = 1e-10,
               max_iter: int = 200_000, init_seed: int | None = None,
               trace: list | None = None) -> SvmModel:
@@ -181,7 +173,7 @@ def svm_train(problem: SvmProblem, tol: float = 1e-10,
     else ValueError.  Pass a list as ``trace`` to collect the objective
     value at the start and after every solve.
     """
-    tol = _positive_tol(tol)
+    tol = as_positive(tol, "tol")
     max_iter = as_int(max_iter, "max_iter", 1)
     # weights x = [nu1; nu0] and scores r = Q x
     q = problem.signed_gram
@@ -321,7 +313,7 @@ def margin_check(model: SvmModel, problem: SvmProblem,
     the problem's Gram, so the two sides are computed independently.
     ``tol`` must be a number > 0, as in ``svm_train``, else ValueError.
     """
-    tol = _positive_tol(tol)
+    tol = as_positive(tol, "tol")
     rho2 = model.objective
     g1 = decision_values(model, problem, problem.d1)
     g0 = decision_values(model, problem, problem.d0)

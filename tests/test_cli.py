@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -170,6 +171,35 @@ class TestConfig:
         config = config_from_dict({**MINIMAL, **blocks})
         for name, block in blocks.items():
             assert config.blocks[name] == block
+
+    def test_block_defaults_are_the_owners(self):
+        # every default the config echoes is its owner's: a field of the
+        # class built from the block, or the parameter of the library call
+        echo = config_from_dict(MINIMAL).to_dict()
+        for block, cls in (("kernel", KernelSpec), ("tolerances", Tolerance)):
+            defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                        if f.name not in ("family", "eval_hook")}
+            assert {k: v for k, v in echo[block].items() if k != "family"} == defaults
+        for block, owner in (("krige", arrays.krige), ("svm", svm.svm_train),
+                             ("fuzzy", arrays.fuzzy_classify)):
+            params = inspect.signature(owner).parameters
+            assert echo[block] == {k: params[k].default for k in echo[block]}
+        assert sorted(echo["krige"]) == ["project"] and sorted(echo["fuzzy"]) == ["prior"]
+        assert sorted(echo["svm"]) == ["max_iter", "tol"]
+        assert echo["condition"] == echo["verify"] == {}
+
+    def test_krige_project_refused_by_the_library_rule(self):
+        message = r"^krige\.project: must be True or False, got 'false'$"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({**MINIMAL, "krige": {"project": "false"}})
+
+    def test_kernel_numbers_are_echoed_as_given(self):
+        kernel = {"family": "Matern-5/2", "lengthscale": 2, "variance": 10 ** 17, "degree": 3}
+        config = config_from_dict({**MINIMAL, "kernel": kernel})
+        echo = config.to_dict()["kernel"]
+        assert {k: echo[k] for k in kernel} == kernel and type(echo["lengthscale"]) is int
+        assert '"variance":100000000000000000}' in canonical_json(config.to_dict())
+        assert config.spec.variance == 1e17 and type(config.spec.lengthscale) is float
 
     def test_round_trip_identity(self, tmp_path):
         config = parse_config(write_config(

@@ -398,6 +398,26 @@ class TestMonteCarloSampleCount:
         with pytest.raises(ValueError, match="^n_samples: must be an integer >= 0$"):
             convolution_sample(est, 0, n_samples)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, -1])
+    def test_seed_must_be_an_integer_on_every_monte_carlo_path(self, seed):
+        # past the enumeration cap a discrete law used to take True as seed 1,
+        # and 2.5 reached numpy's TypeError
+        large = DiscreteMeasure(np.full(150, 1.0 / 150.0),
+                                np.random.default_rng(22).standard_normal((150, 2)))
+        for measure in (BIVARIATE, large):
+            with pytest.raises(ValueError, match="^seed: must be an integer >= 0$"):
+                disintegration_check(measure, FIRST_COORD, seed=seed, n_samples=10)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_random", True), ("n_random", 2.5), ("n_random", -1),
+        ("seed", True), ("seed", 2.5), ("n", 2.0)])
+    def test_battery_counts_and_seed_are_integers(self, field, value):
+        # n_random=True used to build one random function, and 2.5 reached
+        # range()'s TypeError
+        kwargs = {"n": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field}: must be an integer >= 0$"):
+            default_test_functions(**kwargs)
+
     def test_two_draws_are_enough(self):
         report = disintegration_check(BIVARIATE, FIRST_COORD, n_samples=2)
         assert report.n_samples == 2

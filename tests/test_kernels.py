@@ -158,7 +158,7 @@ class TestKernelEval:
         assert (spec.lengthscale, spec.variance, spec.support_radius) == (2.0, 3.0, 0.5)
         assert {type(v) for v in (spec.lengthscale, spec.variance, spec.support_radius)} == {
             float}
-        assert spec.coregionalization.dtype == float
+        assert {type(v) for row in spec.coregionalization for v in row} == {float}
 
     def test_numpy_integers_accepted(self):
         spec = KernelSpec("polynomial", degree=np.int64(3), output_dim=np.int32(2))
@@ -703,6 +703,15 @@ class TestCovering:
         with pytest.raises(ValueError, match="eps"):
             covering_number(KernelSpec("se"), [[0.0]], 0.0)
 
+    @pytest.mark.parametrize("eps, message", [
+        (True, "expected a number, got True"), ("1", "expected a number, got '1'"),
+        (float("inf"), "must be finite, got inf"), (float("nan"), "must be finite, got nan"),
+        (0.0, "must be > 0"), (-1.0, "must be > 0"),
+    ], ids=["bool", "string", "inf", "nan", "zero", "negative"])
+    def test_eps_follows_the_number_rule(self, eps, message):
+        with pytest.raises(ValueError, match="^eps: " + message):
+            covering_number(KernelSpec("se"), [[0.0], [1.0]], eps)
+
 
 def _sweep_cases():
     """Seeded (spec, covalue, points, eps grid) cases for the cover oracle."""
@@ -759,6 +768,19 @@ class TestEntropyIntegral:
         fine = entropy_integral(spec, pts, np.geomspace(1e-3, 2.0, 256))
         assert np.isfinite(base) and base > 0
         assert abs(fine - base) / base <= 0.05
+
+    @pytest.mark.parametrize("grid, message", [
+        (["0.1", "1"], "^grid: expected numbers, got dtype <U3$"),
+        ([True, 2], "^grid: expected a number, got True$"),
+        ([0.1, float("inf")], "^grid: must be finite, got inf$"),
+        (np.array([0.1, np.inf]), "^grid contains non-finite entries$"),
+        ([[0.1], [1.0, 2.0]], "^grid: expected an array, got a ragged sequence$"),
+        ([[0.1, 1.0]], "^grid must be 1-dimensional"),
+        ([], "^grid must be a nonempty 1-d sequence$"),
+    ], ids=["strings", "bool", "inf", "ndarray-inf", "ragged", "2-d", "empty"])
+    def test_grid_follows_the_array_rule(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            entropy_integral(KernelSpec("se"), [[0.0], [1.0]], grid)
 
     def test_invalid_grid(self):
         spec = KernelSpec("se")

@@ -6,11 +6,14 @@ import pytest
 from olskit.kernels import KernelSpec, gram
 from olskit.linalg import (
     NotPsdError,
+    PsdGate,
     Tolerance,
     _fix_eigvec_signs,
+    as_bool,
     as_int,
     as_matrix,
     as_number,
+    as_positive,
     as_vector,
     check_psd,
     pinv,
@@ -319,6 +322,30 @@ class TestNumberValidators:
             as_vector(value, "v")
         with pytest.raises(ValueError, match="^m: " + message):
             as_matrix([value], "m")
+
+    @pytest.mark.parametrize("value", [[[1, 2], [3]], [1, [2, 3]], [[1.0], [2.0, True]]],
+                             ids=["short-row", "scalar-and-row", "mixed"])
+    def test_ragged_sequence_names_the_parameter(self, value):
+        message = "^v: expected an array, got a ragged sequence$"
+        with pytest.raises(ValueError, match=message):
+            as_vector(value, "v")
+        with pytest.raises(ValueError, match=message.replace("v:", "m:")):
+            as_matrix(value, "m")
+
+    def test_positive(self):
+        assert as_positive(2, "x") == 2.0 and type(as_positive(np.int64(2), "x")) is float
+        assert as_positive(5e-324, "x") == 5e-324
+        for value, message in [(0, "must be > 0"), (-0.0, "must be > 0"), (-1e-300, "must be > 0"),
+                               (True, "expected a number"), ("1", "expected a number"),
+                               (float("inf"), "must be finite"), (float("nan"), "must be finite")]:
+            with pytest.raises(ValueError, match=f"^x: {message}"):
+                as_positive(value, "x")
+
+    def test_bool(self):
+        assert as_bool(True, "b") is True and as_bool(np.False_, "b") is False
+        for value in (0, 1, 1.0, "false", None, np.array([True])):
+            with pytest.raises(ValueError, match="^b: must be True or False, got "):
+                as_bool(value, "b")
 
     def test_integer(self):
         assert as_int(3, "n", 1) == 3 and type(as_int(np.int32(3), "n", 1)) is int

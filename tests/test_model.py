@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from olskit.disintegration import conditional_gaussian
-from olskit.linalg import NotPsdError, NumericalError, Tolerance, pinv, range_projector
+from olskit import linalg
+from olskit.linalg import (NotPsdError, NumericalError, Tolerance, check_psd, pinv,
+                           range_projector)
 from olskit.model import (
     ContractError,
     FiniteModel,
@@ -438,6 +440,14 @@ class TestRandomRightInverse:
         with pytest.raises(ValueError, match="full-rank"):
             random_right_inverse(est, 0)
 
+    @pytest.mark.parametrize("seed", [True, 2.5, -1, "0", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # True used to pass as seed 1, and 2.5 reached numpy's TypeError
+        model, rng = make_model(25, 4)
+        est = ols_build(model, rng.standard_normal((2, 4)))
+        with pytest.raises(ValueError, match="^seed: must be an integer >= 0$"):
+            random_right_inverse(est, seed)
+
 
 class TestGmtCompare:
     def test_self_comparison_equalities(self):
@@ -629,6 +639,22 @@ class TestSample:
         model = FiniteModel(np.zeros(2), np.eye(2))
         with pytest.raises(ValueError, match=f"^{name}: must be an integer >= 0$"):
             sample(model, seed, n_samples)
+
+    def test_factor_reuses_the_model_certificate(self, monkeypatch):
+        # the prior was certified when the model was built; sampling takes
+        # that certificate and runs no second PSD check
+        model, _ = make_model(41, 5, rank=3)
+        want = sample(model, 7, 20)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check_psd(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "check_psd", counted)
+        assert np.array_equal(sample(model, 7, 20), want)
+        assert calls == []
+        assert model.floor == model.tol.abs_psd * float(np.abs(model.cov).max())
 
     def test_zero_covariance(self):
         model = FiniteModel(np.array([1.0, -2.0]), np.zeros((2, 2)))
